@@ -47,7 +47,8 @@ fn bench_end_to_end(c: &mut Criterion) {
                 &archive,
                 |b, archive| {
                     b.iter(|| {
-                        decompress_archive(archive, ReconstructEngine::FinePartialSum).unwrap()
+                        decompress_archive::<f32>(archive, ReconstructEngine::FinePartialSum)
+                            .unwrap()
                     });
                 },
             );

@@ -33,7 +33,8 @@ use crate::workflow::{decode_codes_checked_into, CodesPayload};
 use crate::{CodecPlan, LosslessStage, Predictor};
 use cuszp_analysis::WorkflowChoice;
 use cuszp_huffman::HuffmanEncoded;
-use cuszp_predictor::{Dims, OutlierList, QuantField};
+use cuszp_metrics::fnv1a;
+use cuszp_predictor::{Dims, OutlierList, QuantField, Scalar};
 use cuszp_rle::{RleEncoded, RleVleEncoded};
 
 const MAGIC: u32 = 0x2B5A_5343; // "CSZ+"
@@ -63,6 +64,42 @@ impl Dtype {
         match self {
             Dtype::F32 => 4,
             Dtype::F64 => 8,
+        }
+    }
+
+    /// The element type stored in serialized archive bytes (v1 or
+    /// chunked), read from the header alone — nothing is checksummed or
+    /// decoded. `None` when the header is unusable; callers that then
+    /// decode anyway get the parser's typed error.
+    pub fn of_archive(bytes: &[u8]) -> Option<Dtype> {
+        if crate::is_chunked_archive(bytes) {
+            crate::chunked::parse_chunked_header(bytes)
+                .ok()
+                .map(|h| h.dtype)
+        } else {
+            peek_v1_header(bytes).map(|(_, dtype)| dtype)
+        }
+    }
+
+    /// The tag of the element type `T`.
+    pub(crate) fn of<T: Scalar>() -> Dtype {
+        if T::BYTES == 4 {
+            Dtype::F32
+        } else {
+            Dtype::F64
+        }
+    }
+
+    /// The one dtype check of every decode path: a field stored as `self`
+    /// decodes only into the matching `T`.
+    pub(crate) fn check<T: Scalar>(self) -> Result<(), CuszpError> {
+        if self == Dtype::of::<T>() {
+            Ok(())
+        } else {
+            Err(CuszpError::DtypeMismatch {
+                stored: self.name(),
+                requested: Dtype::of::<T>().name(),
+            })
         }
     }
 }
@@ -578,16 +615,6 @@ pub(crate) fn peek_v1_header(bytes: &[u8]) -> Option<(Dims, Dtype)> {
     Some((dims, dtype))
 }
 
-/// FNV-1a 64-bit hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,13 +678,6 @@ mod tests {
                 "flip at payload offset -{off} must be caught"
             );
         }
-    }
-
-    #[test]
-    fn fnv_known_vector() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

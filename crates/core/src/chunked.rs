@@ -15,8 +15,7 @@
 //! * the chunk plan is a pure function of the field shape and chunk
 //!   target — the worker count never enters it;
 //! * a relative error bound is resolved to an absolute one **once, over
-//!   the whole field**, before chunking (unlike the streaming path,
-//!   which resolves per slab);
+//!   the whole field**, before chunking (never per slab);
 //! * every chunk job runs with nested parallelism forced serial
 //!   ([`WorkerPool`] does this even for one worker), so a chunk's bytes
 //!   come from the identical code path under any pool width;
@@ -27,7 +26,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::parity::{ParityConfig, ParitySection, PARITY_MAGIC};
 use crate::stats::ChunkedStats;
 use crate::{Archive, Compressor, Dims, Dtype, ReconstructEngine};
-use cuszp_parallel::{plan_chunks, WorkerPool, DEFAULT_CHUNK_ELEMS};
+use cuszp_parallel::{plan_chunks, ChunkPlan, WorkerPool};
 use cuszp_predictor::Scalar;
 
 pub(crate) const CHUNKED_MAGIC: u32 = 0x325A_5343; // "CSZ2"
@@ -59,102 +58,30 @@ pub struct ChunkedArchive {
 }
 
 impl Compressor {
-    /// Chunk-parallel compression of an `f32` field with the default
-    /// chunk granularity and the global worker policy.
-    pub fn compress_chunked(&self, data: &[f32], dims: Dims) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_with(
-            data,
-            dims,
-            DEFAULT_CHUNK_ELEMS,
-            &WorkerPool::with_default_workers(),
-        )
-    }
-
-    /// Chunk-parallel compression of an `f64` field.
-    pub fn compress_chunked_f64(
+    /// Chunk-parallel compression with explicit chunk target and pool.
+    /// The archive bytes depend on `target_elems` (it shapes the plan)
+    /// but **never** on the pool width.
+    pub fn compress_chunked_with<T: Scalar>(
         &self,
-        data: &[f64],
-        dims: Dims,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_f64_with(
-            data,
-            dims,
-            DEFAULT_CHUNK_ELEMS,
-            &WorkerPool::with_default_workers(),
-        )
-    }
-
-    /// Chunk-parallel `f32` compression with explicit chunk target and
-    /// pool. The archive bytes depend on `target_elems` (it shapes the
-    /// plan) but **never** on the pool width.
-    pub fn compress_chunked_with(
-        &self,
-        data: &[f32],
+        data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
     ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-            .map(|(a, _)| a)
-    }
-
-    /// Chunk-parallel `f64` compression with explicit chunk target and
-    /// pool.
-    pub fn compress_chunked_f64_with(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
+        self.compress_chunked_with_stats(data, dims, target_elems, pool)
             .map(|(a, _)| a)
     }
 
     /// [`Compressor::compress_chunked_with`] also returning the
     /// aggregated per-chunk statistics ([`ChunkedStats`]).
-    pub fn compress_chunked_with_stats(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-    }
-
-    /// [`Compressor::compress_chunked_f64_with`] also returning the
-    /// aggregated per-chunk statistics.
-    pub fn compress_chunked_f64_with_stats(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-    ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        self.compress_chunked_impl(data, dims, target_elems, pool)
-    }
-
-    fn compress_chunked_impl<T: Scalar>(
+    pub fn compress_chunked_with_stats<T: Scalar>(
         &self,
         data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
     ) -> Result<(ChunkedArchive, ChunkedStats), CuszpError> {
-        // One validation + range pass over the whole field; chunks then
-        // skip their own scans entirely. Resolving the bound globally
-        // BEFORE chunking matters twice over: a relative bound must scale
-        // with the whole field's range, not each slab's, both for uniform
-        // quality and for plan-independent bytes.
-        let range = validate_and_range(data, dims)?;
-        let eb = resolve_bound(self.config().error_bound, range)?;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
-        let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
+        let (eb, plan) = self.chunk_prologue(data, dims, target_elems)?;
         let config = self.config();
         // Each pool worker keeps ONE engine and reuses its scratch arenas
         // across every chunk it drains from the queue.
@@ -171,14 +98,7 @@ impl Compressor {
             per_chunk.push(stats);
         }
         Ok((
-            ChunkedArchive {
-                dims,
-                dtype,
-                eb,
-                chunk_target: target_elems as u64,
-                chunks,
-                parity: None,
-            },
+            ChunkedArchive::assemble::<T>(dims, eb, target_elems, chunks),
             ChunkedStats { per_chunk },
         ))
     }
@@ -189,9 +109,9 @@ impl Compressor {
     /// `parity.data_shards` data shards) is appended. Parity encoding
     /// fans stripes across the same pool; bytes stay independent of the
     /// pool width.
-    pub fn compress_chunked_with_parity(
+    pub fn compress_chunked_with_parity<T: Scalar>(
         &self,
-        data: &[f32],
+        data: &[T],
         dims: Dims,
         target_elems: usize,
         pool: &WorkerPool,
@@ -199,21 +119,6 @@ impl Compressor {
     ) -> Result<ChunkedArchive, CuszpError> {
         parity.validate()?;
         let mut arc = self.compress_chunked_with(data, dims, target_elems, pool)?;
-        arc.add_parity(parity, pool);
-        Ok(arc)
-    }
-
-    /// `f64` variant of [`Compressor::compress_chunked_with_parity`].
-    pub fn compress_chunked_f64_with_parity(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        pool: &WorkerPool,
-        parity: ParityConfig,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        parity.validate()?;
-        let mut arc = self.compress_chunked_f64_with(data, dims, target_elems, pool)?;
         arc.add_parity(parity, pool);
         Ok(arc)
     }
@@ -227,42 +132,14 @@ impl Compressor {
     /// [`cuszp_parallel::with_serial_inner`], the same code path pool
     /// jobs take, so the bytes are identical to the pooled drivers at
     /// any worker count.
-    pub fn compress_chunked_with_engine(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        target_elems: usize,
-        engine: &mut PipelineEngine,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_engine_impl(data, dims, target_elems, engine)
-    }
-
-    /// `f64` variant of [`Compressor::compress_chunked_with_engine`].
-    pub fn compress_chunked_f64_with_engine(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        target_elems: usize,
-        engine: &mut PipelineEngine,
-    ) -> Result<ChunkedArchive, CuszpError> {
-        self.compress_chunked_engine_impl(data, dims, target_elems, engine)
-    }
-
-    fn compress_chunked_engine_impl<T: Scalar>(
+    pub fn compress_chunked_with_engine<T: Scalar>(
         &self,
         data: &[T],
         dims: Dims,
         target_elems: usize,
         engine: &mut PipelineEngine,
     ) -> Result<ChunkedArchive, CuszpError> {
-        let range = validate_and_range(data, dims)?;
-        let eb = resolve_bound(self.config().error_bound, range)?;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
-        let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
+        let (eb, plan) = self.chunk_prologue(data, dims, target_elems)?;
         let config = self.config();
         let mut chunks = Vec::with_capacity(plan.len());
         for spec in &plan.chunks {
@@ -272,14 +149,30 @@ impl Compressor {
             })?;
             chunks.push(archive);
         }
-        Ok(ChunkedArchive {
+        Ok(ChunkedArchive::assemble::<T>(
             dims,
-            dtype,
             eb,
-            chunk_target: target_elems as u64,
+            target_elems,
             chunks,
-            parity: None,
-        })
+        ))
+    }
+
+    /// The prologue both chunked drivers share: one validation + range
+    /// pass over the whole field (chunks then skip their own scans), the
+    /// bound resolved once, and the chunk plan. Resolving the bound
+    /// globally BEFORE chunking matters twice over: a relative bound must
+    /// scale with the whole field's range, not each slab's, both for
+    /// uniform quality and for plan-independent bytes.
+    fn chunk_prologue<T: Scalar>(
+        &self,
+        data: &[T],
+        dims: Dims,
+        target_elems: usize,
+    ) -> Result<(f64, ChunkPlan), CuszpError> {
+        let range = validate_and_range(data, dims)?;
+        let eb = resolve_bound(self.config().error_bound, range)?;
+        let plan = plan_chunks(&[dims.slow_extent(), dims.elems_per_slow()], target_elems);
+        Ok((eb, plan))
     }
 }
 
@@ -319,54 +212,36 @@ impl ChunkedArchive {
         self.parity = ParitySection::build(&region, &cfg, pool);
     }
 
-    /// Parallel decompression into `f32` with the global worker policy.
-    pub fn decompress(&self, engine: ReconstructEngine) -> Result<(Vec<f32>, Dims), CuszpError> {
-        self.decompress_with(engine, &WorkerPool::with_default_workers())
+    /// A parity-less container over freshly compressed chunks of `T`.
+    fn assemble<T: Scalar>(dims: Dims, eb: f64, target_elems: usize, chunks: Vec<Archive>) -> Self {
+        ChunkedArchive {
+            dims,
+            dtype: Dtype::of::<T>(),
+            eb,
+            chunk_target: target_elems as u64,
+            chunks,
+            parity: None,
+        }
     }
 
-    /// Parallel decompression into `f64`.
-    pub fn decompress_f64(
-        &self,
-        engine: ReconstructEngine,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        self.decompress_f64_with(engine, &WorkerPool::with_default_workers())
-    }
-
-    /// `f32` decompression with an explicit pool.
+    /// `f32` decompression with an explicit pool: [`ChunkedArchive::decode`]
+    /// for single-precision callers.
     pub fn decompress_with(
         &self,
         engine: ReconstructEngine,
         pool: &WorkerPool,
     ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        if self.dtype != Dtype::F32 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f32",
-            });
-        }
-        self.decompress_impl::<f32>(engine, pool)
+        self.decode(engine, pool)
     }
 
-    /// `f64` decompression with an explicit pool.
-    pub fn decompress_f64_with(
-        &self,
-        engine: ReconstructEngine,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        if self.dtype != Dtype::F64 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f64",
-            });
-        }
-        self.decompress_impl::<f64>(engine, pool)
-    }
-
-    fn decompress_impl<T: Scalar>(
+    /// Parallel decompression of the whole field into `T`, one chunk per
+    /// pool job.
+    pub fn decode<T: Scalar>(
         &self,
         engine: ReconstructEngine,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
+        self.dtype.check::<T>()?;
         self.validate_chunk_geometry()?;
         let mut out = vec![T::from_f64(0.0); self.dims.len()];
         // Carve the output into one mutable slab per chunk; each job owns
@@ -691,6 +566,7 @@ pub(crate) fn read_length_table_lenient(bytes: &[u8], hdr: &ChunkedHeader) -> Ve
 mod tests {
     use super::*;
     use crate::{Config, ErrorBound, WorkflowMode};
+    use cuszp_parallel::DEFAULT_CHUNK_ELEMS;
 
     fn field(n: usize) -> Vec<f32> {
         (0..n)
@@ -738,27 +614,23 @@ mod tests {
         let c = Compressor::default();
         let pool = WorkerPool::new(2);
         let arc = c
-            .compress_chunked_f64_with(&data, Dims::D1(30_000), 7_000, &pool)
+            .compress_chunked_with(&data, Dims::D1(30_000), 7_000, &pool)
             .unwrap();
+        assert_eq!(arc.dtype, Dtype::F64);
         let parsed = ChunkedArchive::from_bytes(&arc.to_bytes()).unwrap();
         let (recon, _) = parsed
-            .decompress_f64_with(ReconstructEngine::FinePartialSum, &pool)
+            .decode(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!((o - r).abs() <= arc.eb * (1.0 + 1e-12), "{o} vs {r}");
         }
-        // Wrong-dtype request is refused.
-        assert!(matches!(
-            parsed.decompress(ReconstructEngine::FinePartialSum),
-            Err(CuszpError::DtypeMismatch { .. })
-        ));
     }
 
     #[test]
     fn global_bound_resolution_differs_from_per_slab() {
         // First half is flat, second half spans a large range: per-slab
-        // relative resolution (the streaming path) would give the flat
-        // half a much tighter bound than the global one.
+        // relative resolution would give the flat half a much tighter
+        // bound than the global one.
         let mut data = vec![1.0f32; 20_000];
         for (i, x) in data[10_000..].iter_mut().enumerate() {
             *x = (i as f32) * 0.01;
@@ -810,11 +682,14 @@ mod tests {
     #[test]
     fn empty_field_chunked() {
         let c = Compressor::default();
-        let arc = c.compress_chunked(&[], Dims::D1(0)).unwrap();
+        let pool = WorkerPool::new(2);
+        let arc = c
+            .compress_chunked_with::<f32>(&[], Dims::D1(0), DEFAULT_CHUNK_ELEMS, &pool)
+            .unwrap();
         assert_eq!(arc.n_chunks(), 0);
         let parsed = ChunkedArchive::from_bytes(&arc.to_bytes()).unwrap();
         let (recon, dims) = parsed
-            .decompress(ReconstructEngine::FinePartialSum)
+            .decompress_with(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));
@@ -823,12 +698,18 @@ mod tests {
     #[test]
     fn rejects_bad_inputs_and_corruption() {
         let c = Compressor::default();
+        let pool = WorkerPool::new(2);
         assert!(matches!(
-            c.compress_chunked(&[1.0, 2.0], Dims::D1(3)),
+            c.compress_chunked_with(&[1.0f32, 2.0], Dims::D1(3), DEFAULT_CHUNK_ELEMS, &pool),
             Err(CuszpError::DimsMismatch { .. })
         ));
         assert!(matches!(
-            c.compress_chunked(&[1.0, f32::NAN, 0.0, 0.0], Dims::D1(4)),
+            c.compress_chunked_with(
+                &[1.0, f32::NAN, 0.0, 0.0],
+                Dims::D1(4),
+                DEFAULT_CHUNK_ELEMS,
+                &pool
+            ),
             Err(CuszpError::NonFiniteInput)
         ));
 
@@ -926,12 +807,12 @@ mod tests {
         let chunked = c
             .compress_chunked_with(&data, Dims::D1(20_000), 5_000, &WorkerPool::new(2))
             .unwrap();
-        let (recon, dims) = crate::decompress(&chunked.to_bytes()).unwrap();
+        let (recon, dims) = crate::decompress::<f32>(&chunked.to_bytes()).unwrap();
         assert_eq!(dims, Dims::D1(20_000));
         assert_eq!(recon.len(), data.len());
         // v1 single-chunk archives still decompress through the same door.
         let v1 = c.compress(&data, Dims::D1(20_000)).unwrap();
-        let (recon1, _) = crate::decompress(&v1.to_bytes()).unwrap();
+        let (recon1, _) = crate::decompress::<f32>(&v1.to_bytes()).unwrap();
         assert_eq!(recon1.len(), data.len());
     }
 }

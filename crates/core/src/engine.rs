@@ -1,10 +1,10 @@
 //! The unified pipeline engine: one scratch-reusing driver behind every
 //! compress/decompress entry point.
 //!
-//! Four call sites used to each re-allocate the full working set per
-//! field — the v1 [`crate::Compressor`], the chunked (CSZ2) worker pool,
-//! [`crate::StreamArchive`], and the fault-isolated recovery decoder. A
-//! [`PipelineEngine`] owns that working set instead:
+//! Every call site — the v1 [`crate::Compressor`], the chunked (CSZ2)
+//! worker pool, the range reader and the fault-isolated recovery
+//! decoder — drives one [`PipelineEngine`], which owns the working set
+//! instead of re-allocating it per field:
 //!
 //! * `dq` — the prequant/fused-delta buffer (`i64` per element),
 //! * `codes` — the quant-code buffer (`u16` per element),
@@ -18,8 +18,8 @@
 //! outputs that outlive the call (outlier list, coded payload, archive
 //! bytes), not for the per-chunk working set.
 //!
-//! The engine is generic over [`Scalar`], collapsing the former f32/f64
-//! duplication: the dtype tag is derived from `T::BYTES`.
+//! The engine is generic over [`Scalar`]: one pipeline serves `f32` and
+//! `f64`, and the archive's dtype tag is [`Dtype::of`] the element type.
 
 use crate::archive::{Archive, Dtype};
 use crate::error::CuszpError;
@@ -67,8 +67,8 @@ impl PipelineEngine {
     /// `eb` is the already-resolved *absolute* error bound — callers
     /// validate input and resolve relative bounds first (see
     /// [`validate_and_range`] / [`resolve_bound`]), because bound
-    /// resolution is container policy: v1 and CSZ2 resolve globally,
-    /// streams per slab.
+    /// resolution is container policy (v1 and CSZ2 resolve it once over
+    /// the whole field).
     pub fn compress<T: Scalar>(
         &mut self,
         config: &Config,
@@ -83,11 +83,7 @@ impl PipelineEngine {
             "cap must be even and ≥ 4"
         );
         let radius = cap / 2;
-        let dtype = if T::BYTES == 4 {
-            Dtype::F32
-        } else {
-            Dtype::F64
-        };
+        let dtype = Dtype::of::<T>();
 
         // Prequantize once into the arena; every later plan decision
         // (predictor probe, stage construct) reads the same buffer.

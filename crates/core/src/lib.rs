@@ -15,6 +15,11 @@
 //! §IV. See [`Config`] for the adaptive/forced workflow switch and
 //! [`Compressor::compress`] / [`decompress`] for the entry points.
 //!
+//! Every entry point is generic over the element type ([`Scalar`]:
+//! `f32` or `f64`); one pipeline serves both precisions, and a decode
+//! into the wrong type is a typed [`CuszpError::DtypeMismatch`]. Callers
+//! that do not know an archive's type read it with [`Dtype::of_archive`].
+//!
 //! # Example
 //!
 //! ```
@@ -27,11 +32,18 @@
 //! let archive = compressor.compress(&field, Dims::D1(4096)).unwrap();
 //! let bytes = archive.to_bytes();
 //!
-//! let (recon, dims) = cuszp_core::decompress(&bytes).unwrap();
+//! let (recon, dims) = cuszp_core::decompress::<f32>(&bytes).unwrap();
 //! assert_eq!(dims, Dims::D1(4096));
 //! for (o, r) in field.iter().zip(&recon) {
 //!     assert!((o - r).abs() <= 2e-3 * 2.0); // range = 2 → abs eb = 2e-3
 //! }
+//!
+//! // The same calls take an f64 field; the archive records the type.
+//! let wide: Vec<f64> = field.iter().map(|&x| f64::from(x)).collect();
+//! let bytes = compressor.compress(&wide, Dims::D1(4096)).unwrap().to_bytes();
+//! assert_eq!(cuszp_core::Dtype::of_archive(&bytes), Some(cuszp_core::Dtype::F64));
+//! let (recon, _) = cuszp_core::decompress::<f64>(&bytes).unwrap();
+//! assert_eq!(recon.len(), wide.len());
 //! ```
 
 mod archive;
@@ -44,7 +56,6 @@ mod recovery;
 mod report;
 mod snapshot;
 mod stats;
-mod stream;
 mod workflow;
 
 pub use archive::{Archive, Dtype};
@@ -52,15 +63,10 @@ pub use chunked::{is_chunked_archive, ChunkedArchive};
 pub use engine::PipelineEngine;
 pub use error::{ArchiveSection, CuszpError, ParseFault};
 pub use parity::{ParityConfig, ParitySection};
-pub use range::{
-    decompress_range, decompress_range_f64, decompress_range_with_fetch, slice_field, RangeSpec,
-};
+pub use range::{decompress_range, decompress_range_with_fetch, slice_field, RangeSpec};
 pub use recovery::{
-    decompress_range_resilient, decompress_range_resilient_f64,
-    decompress_range_resilient_f64_with, decompress_range_resilient_with, decompress_resilient,
-    decompress_resilient_f64, decompress_resilient_f64_with, decompress_resilient_with, repair,
-    repair_with, scan, scan_with, ChunkReport, ChunkStatus, FillPolicy, ParityReport,
-    RecoveredField, RepairOutcome, ScanReport, StripeStatus,
+    decompress_range_resilient, decompress_resilient, repair, scan, ChunkReport, ChunkStatus,
+    FillPolicy, ParityReport, RecoveredField, RepairOutcome, ScanReport, StripeStatus,
 };
 pub use report::{
     json_escape, PortableChunkReport, PortableChunkStatus, PortableParityReport,
@@ -68,7 +74,6 @@ pub use report::{
 };
 pub use snapshot::{Snapshot, SnapshotEntry};
 pub use stats::{ChunkedStats, CompressionStats};
-pub use stream::StreamArchive;
 pub use workflow::{CodesPayload, WorkflowMode};
 
 pub use cuszp_analysis::{CompressibilityReport, WorkflowChoice};
@@ -205,12 +210,7 @@ impl ErrorBound {
     ///
     /// A constant field has zero range; the relative mode falls back to a
     /// tiny absolute bound so the pipeline stays well-defined.
-    pub fn absolute(&self, data: &[f32]) -> f64 {
-        self.absolute_scalar(data)
-    }
-
-    /// Generic resolution over `f32`/`f64` fields.
-    pub fn absolute_scalar<T: cuszp_predictor::Scalar>(&self, data: &[T]) -> f64 {
+    pub fn absolute<T: Scalar>(&self, data: &[T]) -> f64 {
         match *self {
             ErrorBound::Absolute(eb) => eb,
             ErrorBound::Relative(_) => {
@@ -298,36 +298,15 @@ impl Compressor {
         &self.config
     }
 
-    /// Compresses an `f32` field, returning the archive.
-    pub fn compress(&self, data: &[f32], dims: Dims) -> Result<Archive, CuszpError> {
+    /// Compresses a field, returning the single-chunk (v1) archive.
+    /// `f64` fields raise the Huffman-cap ratio to 64× (the paper's
+    /// double-precision note).
+    pub fn compress<T: Scalar>(&self, data: &[T], dims: Dims) -> Result<Archive, CuszpError> {
         self.compress_with_stats(data, dims).map(|(a, _)| a)
     }
 
-    /// Compresses an `f32` field and reports per-stage statistics.
-    pub fn compress_with_stats(
-        &self,
-        data: &[f32],
-        dims: Dims,
-    ) -> Result<(Archive, CompressionStats), CuszpError> {
-        self.compress_impl(data, dims)
-    }
-
-    /// Compresses an `f64` (double-precision) field. Doubles raise the
-    /// Huffman-cap ratio to 64× (the paper's double-precision note).
-    pub fn compress_f64(&self, data: &[f64], dims: Dims) -> Result<Archive, CuszpError> {
-        self.compress_f64_with_stats(data, dims).map(|(a, _)| a)
-    }
-
-    /// Compresses an `f64` field and reports per-stage statistics.
-    pub fn compress_f64_with_stats(
-        &self,
-        data: &[f64],
-        dims: Dims,
-    ) -> Result<(Archive, CompressionStats), CuszpError> {
-        self.compress_impl(data, dims)
-    }
-
-    fn compress_impl<T: cuszp_predictor::Scalar>(
+    /// [`Compressor::compress`] also reporting per-stage statistics.
+    pub fn compress_with_stats<T: Scalar>(
         &self,
         data: &[T],
         dims: Dims,
@@ -338,65 +317,36 @@ impl Compressor {
     }
 }
 
-/// Decompresses archive bytes back into a field.
+/// Decompresses archive bytes back into a field of `T`.
 ///
 /// Accepts both v1 single-chunk archives and v2 chunked containers
 /// (dispatched on the magic); chunked containers reconstruct in
 /// parallel, one worker per chunk.
-pub fn decompress(bytes: &[u8]) -> Result<(Vec<f32>, Dims), CuszpError> {
+pub fn decompress<T: Scalar>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CuszpError> {
     decompress_with_engine(bytes, ReconstructEngine::FinePartialSum)
 }
 
 /// Decompression with an explicit reconstruction engine (for the
 /// engine-comparison experiments). Accepts v1 and chunked v2 bytes.
-pub fn decompress_with_engine(
+pub fn decompress_with_engine<T: Scalar>(
     bytes: &[u8],
     engine: ReconstructEngine,
-) -> Result<(Vec<f32>, Dims), CuszpError> {
+) -> Result<(Vec<T>, Dims), CuszpError> {
     if is_chunked_archive(bytes) {
-        return ChunkedArchive::from_bytes(bytes)?.decompress(engine);
+        return ChunkedArchive::from_bytes(bytes)?
+            .decode(engine, &cuszp_parallel::WorkerPool::with_default_workers());
     }
     let archive = Archive::from_bytes(bytes)?;
     decompress_archive(&archive, engine)
 }
 
-/// Decompresses an already-parsed archive into `f32`.
-pub fn decompress_archive(
+/// Decompresses an already-parsed v1 archive.
+pub fn decompress_archive<T: Scalar>(
     archive: &Archive,
     engine: ReconstructEngine,
-) -> Result<(Vec<f32>, Dims), CuszpError> {
-    if archive.dtype != Dtype::F32 {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: "f32",
-        });
-    }
+) -> Result<(Vec<T>, Dims), CuszpError> {
+    archive.dtype.check::<T>()?;
     let out = PipelineEngine::new().decompress(archive, engine)?;
-    Ok((out, archive.dims))
-}
-
-/// Decompresses archive bytes into an `f64` field. Accepts v1 and
-/// chunked v2 bytes.
-pub fn decompress_f64(bytes: &[u8]) -> Result<(Vec<f64>, Dims), CuszpError> {
-    decompress_f64_with_engine(bytes, ReconstructEngine::FinePartialSum)
-}
-
-/// `f64` decompression with an explicit engine.
-pub fn decompress_f64_with_engine(
-    bytes: &[u8],
-    engine: ReconstructEngine,
-) -> Result<(Vec<f64>, Dims), CuszpError> {
-    if is_chunked_archive(bytes) {
-        return ChunkedArchive::from_bytes(bytes)?.decompress_f64(engine);
-    }
-    let archive = Archive::from_bytes(bytes)?;
-    if archive.dtype != Dtype::F64 {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: "f64",
-        });
-    }
-    let out = PipelineEngine::new().decompress(&archive, engine)?;
     Ok((out, archive.dims))
 }
 
@@ -488,7 +438,7 @@ mod tests {
             "CR = {}",
             stats.compression_ratio()
         );
-        let (recon, _) = decompress(&archive.to_bytes()).unwrap();
+        let (recon, _) = decompress::<f32>(&archive.to_bytes()).unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!((o - r).abs() <= 1e-3 * 1.001);
         }
@@ -522,22 +472,27 @@ mod tests {
             .compress(&data, Dims::D1(1024))
             .unwrap();
         let mut bytes = archive.to_bytes();
-        assert!(decompress(&bytes[..bytes.len() - 4]).is_err(), "truncated");
+        assert!(
+            decompress::<f32>(&bytes[..bytes.len() - 4]).is_err(),
+            "truncated"
+        );
         bytes[0] ^= 0xFF;
-        assert!(decompress(&bytes).is_err(), "bad magic");
+        assert!(decompress::<f32>(&bytes).is_err(), "bad magic");
         let mut bytes2 = archive.to_bytes();
         let n = bytes2.len();
         bytes2[n - 3] ^= 0x40;
         assert!(
-            decompress(&bytes2).is_err(),
+            decompress::<f32>(&bytes2).is_err(),
             "checksum must catch payload flips"
         );
     }
 
     #[test]
     fn empty_field_roundtrips() {
-        let archive = Compressor::default().compress(&[], Dims::D1(0)).unwrap();
-        let (recon, dims) = decompress(&archive.to_bytes()).unwrap();
+        let archive = Compressor::default()
+            .compress::<f32>(&[], Dims::D1(0))
+            .unwrap();
+        let (recon, dims) = decompress::<f32>(&archive.to_bytes()).unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));
     }
@@ -556,7 +511,7 @@ mod tests {
         });
         let archive = c.compress(&data, Dims::D1(4096)).unwrap();
         assert_eq!(archive.eb, eb);
-        let (recon, _) = decompress(&archive.to_bytes()).unwrap();
+        let (recon, _) = decompress::<f32>(&archive.to_bytes()).unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!(((o - r).abs() as f64) <= eb * 1.001, "{o} vs {r}");
         }
@@ -566,14 +521,14 @@ mod tests {
     fn relative_bound_empty_slice_resolves_positive() {
         // An empty field has no range at all; resolution must still give
         // a positive finite bound so compression of Dims::D1(0) succeeds.
-        let eb = ErrorBound::Relative(1e-4).absolute(&[]);
+        let eb = ErrorBound::Relative(1e-4).absolute::<f32>(&[]);
         assert!(eb.is_finite() && eb > 0.0, "eb = {eb}");
         let c = Compressor::new(Config {
             error_bound: ErrorBound::Relative(1e-4),
             ..Config::default()
         });
-        let archive = c.compress(&[], Dims::D1(0)).unwrap();
-        let (recon, dims) = decompress(&archive.to_bytes()).unwrap();
+        let archive = c.compress::<f32>(&[], Dims::D1(0)).unwrap();
+        let (recon, dims) = decompress::<f32>(&archive.to_bytes()).unwrap();
         assert!(recon.is_empty());
         assert_eq!(dims, Dims::D1(0));
     }
@@ -591,7 +546,7 @@ mod tests {
             ..Config::default()
         });
         let archive = c.compress(&data, Dims::D1(1)).unwrap();
-        let (recon, dims) = decompress(&archive.to_bytes()).unwrap();
+        let (recon, dims) = decompress::<f32>(&archive.to_bytes()).unwrap();
         assert_eq!(dims, Dims::D1(1));
         assert!(
             ((data[0] - recon[0]).abs() as f64)

@@ -30,9 +30,9 @@
 //! its offset (end of the chunk region), not by a header field, so a
 //! reader that parses the region can always find it.
 
-use crate::archive::fnv1a;
 use crate::error::{ArchiveSection, CuszpError};
 use cuszp_ecc::ReedSolomon;
+use cuszp_metrics::fnv1a;
 use cuszp_parallel::WorkerPool;
 
 /// Parity-section magic: "CSZP" little-endian.

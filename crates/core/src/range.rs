@@ -269,62 +269,14 @@ pub(crate) fn gather_chunk<T: Copy>(
 
 impl ChunkedArchive {
     /// Decodes only the chunks intersecting `spec` and assembles the
-    /// requested `f32` sub-volume, with the global worker policy.
-    pub fn decompress_range(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-    ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        self.decompress_range_with(engine, spec, &WorkerPool::with_default_workers())
-    }
-
-    /// [`ChunkedArchive::decompress_range`] for `f64` archives.
-    pub fn decompress_range_f64(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        self.decompress_range_f64_with(engine, spec, &WorkerPool::with_default_workers())
-    }
-
-    /// Range decompression into `f32` with an explicit pool.
-    pub fn decompress_range_with(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f32>, Dims), CuszpError> {
-        if self.dtype != crate::Dtype::F32 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f32",
-            });
-        }
-        self.decompress_range_impl::<f32>(engine, spec, pool)
-    }
-
-    /// Range decompression into `f64` with an explicit pool.
-    pub fn decompress_range_f64_with(
-        &self,
-        engine: ReconstructEngine,
-        spec: &RangeSpec,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<f64>, Dims), CuszpError> {
-        if self.dtype != crate::Dtype::F64 {
-            return Err(CuszpError::DtypeMismatch {
-                stored: self.dtype.name(),
-                requested: "f64",
-            });
-        }
-        self.decompress_range_impl::<f64>(engine, spec, pool)
-    }
-
-    fn decompress_range_impl<T: Scalar>(
+    /// requested sub-volume as `T`, fanning the chunks across `pool`.
+    pub fn decode_range<T: Scalar>(
         &self,
         engine: ReconstructEngine,
         spec: &RangeSpec,
         pool: &WorkerPool,
     ) -> Result<(Vec<T>, Dims), CuszpError> {
+        self.dtype.check::<T>()?;
         self.validate_chunk_geometry()?;
         let r = resolve(spec, self.dims)?;
         let target = usize::try_from(self.chunk_target).unwrap_or(usize::MAX);
@@ -381,12 +333,7 @@ pub fn decompress_range_with_fetch<T: Scalar>(
     fetch: &mut dyn FnMut(usize) -> Option<Vec<T>>,
     store: &mut dyn FnMut(usize, &[T]),
 ) -> Result<(Vec<T>, Dims), CuszpError> {
-    if arc.dtype.bytes() != T::BYTES {
-        return Err(CuszpError::DtypeMismatch {
-            stored: arc.dtype.name(),
-            requested: if T::BYTES == 4 { "f32" } else { "f64" },
-        });
-    }
+    arc.dtype.check::<T>()?;
     arc.validate_chunk_geometry()?;
     let r = resolve(spec, arc.dims)?;
     let target = usize::try_from(arc.chunk_target).unwrap_or(usize::MAX);
@@ -417,28 +364,21 @@ pub fn decompress_range_with_fetch<T: Scalar>(
 }
 
 /// Decodes the sub-volume named by `spec` from serialized archive bytes
-/// (v1 or chunked), as `f32`. Chunked containers decode only the
+/// (v1 or chunked) as `T`. Chunked containers decode only the
 /// intersecting chunks; v1 archives are one checksummed unit, so the
 /// whole field is decoded and sliced.
-pub fn decompress_range(bytes: &[u8], spec: &RangeSpec) -> Result<(Vec<f32>, Dims), CuszpError> {
-    if crate::is_chunked_archive(bytes) {
-        let arc = ChunkedArchive::from_bytes(bytes)?;
-        return arc.decompress_range(ReconstructEngine::FinePartialSum, spec);
-    }
-    let (data, dims) = crate::decompress(bytes)?;
-    slice_field(&data, dims, spec)
-}
-
-/// [`decompress_range`] for `f64` archives.
-pub fn decompress_range_f64(
+pub fn decompress_range<T: Scalar>(
     bytes: &[u8],
     spec: &RangeSpec,
-) -> Result<(Vec<f64>, Dims), CuszpError> {
+) -> Result<(Vec<T>, Dims), CuszpError> {
     if crate::is_chunked_archive(bytes) {
-        let arc = ChunkedArchive::from_bytes(bytes)?;
-        return arc.decompress_range_f64(ReconstructEngine::FinePartialSum, spec);
+        return ChunkedArchive::from_bytes(bytes)?.decode_range(
+            ReconstructEngine::FinePartialSum,
+            spec,
+            &WorkerPool::with_default_workers(),
+        );
     }
-    let (data, dims) = crate::decompress_f64(bytes)?;
+    let (data, dims) = crate::decompress(bytes)?;
     slice_field(&data, dims, spec)
 }
 

@@ -22,7 +22,7 @@
 //! hard instead of fabricating a field — this is also what keeps a
 //! corrupted header from driving a giant output allocation.
 
-use crate::archive::{fnv1a, peek_v1_header};
+use crate::archive::peek_v1_header;
 use crate::chunked::{parse_chunked_header, read_length_table_lenient, ChunkedHeader};
 use crate::engine::PipelineEngine;
 use crate::error::{ArchiveSection, CuszpError, ParseFault};
@@ -32,6 +32,7 @@ use crate::parity::{
 use crate::range::{chunk_span, gather_chunk, resolve, slice_field, RangeSpec};
 use crate::{is_chunked_archive, Archive, CodecPlan, Dims, Dtype, ReconstructEngine};
 use cuszp_ecc::ReedSolomon;
+use cuszp_metrics::fnv1a;
 use cuszp_parallel::{plan_chunk_spec, plan_len, ChunkSpec, WorkerPool};
 use cuszp_predictor::Scalar;
 use std::borrow::Cow;
@@ -721,11 +722,6 @@ fn pre_heal<'a>(
 /// checksummed, **and decoded** in parallel; only a container whose
 /// fixed header is unusable returns `Err`.
 pub fn scan(bytes: &[u8]) -> Result<ScanReport, CuszpError> {
-    scan_with(bytes, &WorkerPool::with_default_workers())
-}
-
-/// [`scan`] with an explicit worker pool.
-pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpError> {
     if !is_chunked_archive(bytes) {
         return Ok(scan_v1(bytes));
     }
@@ -741,6 +737,7 @@ pub fn scan_with(bytes: &[u8], pool: &WorkerPool) -> Result<ScanReport, CuszpErr
     let layouts = layout_chunks(bytes, &hdr, n_geo);
     // Each scan worker keeps one engine: the decode probe reuses the
     // engine's code arena across every chunk it checks.
+    let pool = WorkerPool::with_default_workers();
     let statuses = pool.run_with_state(n_geo, PipelineEngine::new, |i, eng| {
         let slab_dims = hdr.dims.slab(plan.spec(i).slow_len());
         match parse_chunk(&layouts[i], i, slab_dims, hdr.dtype) {
@@ -833,72 +830,23 @@ fn scan_v1(bytes: &[u8]) -> ScanReport {
     }
 }
 
-/// Resilient decompression into `f32`: undamaged chunks reconstruct
+/// The reconstruction engine of the resilient decoders (the default one,
+/// so undamaged slabs match [`crate::decompress`] bit for bit).
+const ENGINE: ReconstructEngine = ReconstructEngine::FinePartialSum;
+
+/// Resilient decompression into `T`: undamaged chunks reconstruct
 /// bit-identically to [`crate::decompress`]; damaged slabs are filled
 /// per `fill` and reported. Fails hard only when the container header is
 /// unusable or **no** chunk is recoverable.
-pub fn decompress_resilient(
+pub fn decompress_resilient<T: Scalar>(
     bytes: &[u8],
     fill: FillPolicy,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_resilient_with(
-        bytes,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_resilient`] with explicit engine and pool.
-pub fn decompress_resilient_with(
-    bytes: &[u8],
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_resilient_impl::<f32>(bytes, fill, engine, pool, Dtype::F32)
-}
-
-/// Resilient decompression into `f64`.
-pub fn decompress_resilient_f64(
-    bytes: &[u8],
-    fill: FillPolicy,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_resilient_f64_with(
-        bytes,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_resilient_f64`] with explicit engine and pool.
-pub fn decompress_resilient_f64_with(
-    bytes: &[u8],
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_resilient_impl::<f64>(bytes, fill, engine, pool, Dtype::F64)
-}
-
-fn decompress_resilient_impl<T: Scalar>(
-    bytes: &[u8],
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-    want: Dtype,
 ) -> Result<RecoveredField<T>, CuszpError> {
     if !is_chunked_archive(bytes) {
-        return recover_v1::<T>(bytes, engine, want);
+        return recover_v1::<T>(bytes);
     }
     let hdr = parse_chunked_header(bytes)?;
-    if hdr.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: hdr.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    hdr.dtype.check::<T>()?;
     // Repair before fill: shards the parity section can reconstruct are
     // healed before any chunk is parsed, so slabs whose damage fits the
     // erasure budget decode bit-exactly instead of taking the fill value.
@@ -907,6 +855,7 @@ fn decompress_resilient_impl<T: Scalar>(
     let plan = plan_for(&hdr);
     let n_geo = evaluable_chunks(plan.n, &hdr, bytes);
     let layouts = layout_chunks(bytes, &hdr, n_geo);
+    let pool = WorkerPool::with_default_workers();
 
     // Pass 1: parse + geometry-check every evaluable chunk (in parallel)
     // BEFORE allocating the output. If nothing is recoverable the
@@ -957,7 +906,7 @@ fn decompress_resilient_impl<T: Scalar>(
     let statuses = pool.run_parts_with_state(parts, PipelineEngine::new, |i, (slab, res), eng| {
         match res {
             Err(status) => status,
-            Ok(archive) => match eng.decompress_into(&archive, engine, slab) {
+            Ok(archive) => match eng.decompress_into(&archive, ENGINE, slab) {
                 Ok(()) => ChunkStatus::Ok,
                 Err(e) => {
                     // Reconstruction may have partially written the slab.
@@ -992,20 +941,11 @@ fn decompress_resilient_impl<T: Scalar>(
 
 /// v1 recovery is all-or-nothing: the archive is one checksummed unit,
 /// so any damage fails hard (there is no independent chunk to salvage).
-fn recover_v1<T: Scalar>(
-    bytes: &[u8],
-    engine: ReconstructEngine,
-    want: Dtype,
-) -> Result<RecoveredField<T>, CuszpError> {
+fn recover_v1<T: Scalar>(bytes: &[u8]) -> Result<RecoveredField<T>, CuszpError> {
     let archive = Archive::from_bytes(bytes)?;
-    if archive.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: archive.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    archive.dtype.check::<T>()?;
     let plan = archive.plan();
-    let data: Vec<T> = PipelineEngine::new().decompress(&archive, engine)?;
+    let data: Vec<T> = PipelineEngine::new().decompress(&archive, ENGINE)?;
     let n = data.len();
     Ok(RecoveredField {
         data,
@@ -1021,73 +961,19 @@ fn recover_v1<T: Scalar>(
     })
 }
 
-/// Resilient range read into `f32`: decodes only the chunks whose slabs
+/// Resilient range read into `T`: decodes only the chunks whose slabs
 /// intersect `spec`, fills the in-range rows of damaged slabs per
 /// `fill`, and reports one [`ChunkReport`] per **intersecting** chunk
 /// (global chunk indices and field-global element ranges). Out-of-range
 /// chunks are neither decoded nor reported, whatever their state.
-pub fn decompress_range_resilient(
+pub fn decompress_range_resilient<T: Scalar>(
     bytes: &[u8],
     spec: &RangeSpec,
     fill: FillPolicy,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_range_resilient_with(
-        bytes,
-        spec,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_range_resilient`] with explicit engine and pool.
-pub fn decompress_range_resilient_with(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f32>, CuszpError> {
-    decompress_range_resilient_impl::<f32>(bytes, spec, fill, engine, pool, Dtype::F32)
-}
-
-/// Resilient range read into `f64`.
-pub fn decompress_range_resilient_f64(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_range_resilient_f64_with(
-        bytes,
-        spec,
-        fill,
-        ReconstructEngine::FinePartialSum,
-        &WorkerPool::with_default_workers(),
-    )
-}
-
-/// [`decompress_range_resilient_f64`] with explicit engine and pool.
-pub fn decompress_range_resilient_f64_with(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-) -> Result<RecoveredField<f64>, CuszpError> {
-    decompress_range_resilient_impl::<f64>(bytes, spec, fill, engine, pool, Dtype::F64)
-}
-
-fn decompress_range_resilient_impl<T: Scalar>(
-    bytes: &[u8],
-    spec: &RangeSpec,
-    fill: FillPolicy,
-    engine: ReconstructEngine,
-    pool: &WorkerPool,
-    want: Dtype,
 ) -> Result<RecoveredField<T>, CuszpError> {
     if !is_chunked_archive(bytes) {
         // v1 is one checksummed unit: recover it whole, slice after.
-        let rv = recover_v1::<T>(bytes, engine, want)?;
+        let rv = recover_v1::<T>(bytes)?;
         let plan = rv.reports.first().and_then(|r| r.plan);
         let (data, dims) = slice_field(&rv.data, rv.dims, spec)?;
         let n = data.len();
@@ -1105,12 +991,7 @@ fn decompress_range_resilient_impl<T: Scalar>(
         });
     }
     let hdr = parse_chunked_header(bytes)?;
-    if hdr.dtype != want {
-        return Err(CuszpError::DtypeMismatch {
-            stored: hdr.dtype.name(),
-            requested: want.name(),
-        });
-    }
+    hdr.dtype.check::<T>()?;
     // The spec is validated against the header's dims before anything is
     // allocated or decoded: a bad spec is a typed `InvalidRange`, and a
     // valid spec bounds the output by what the *caller* asked for — so
@@ -1161,7 +1042,7 @@ fn decompress_range_resilient_impl<T: Scalar>(
         parts.push((i, head));
         rest = tail;
     }
-    let statuses = pool.run_parts_with_state(
+    let statuses = WorkerPool::with_default_workers().run_parts_with_state(
         parts,
         || (PipelineEngine::new(), Vec::<T>::new()),
         |_, (i, part), (eng, scratch)| {
@@ -1175,7 +1056,7 @@ fn decompress_range_resilient_impl<T: Scalar>(
                     let n = slab_dims.len();
                     scratch.clear();
                     scratch.resize(n, fill_value);
-                    match eng.decompress_into(&archive, engine, &mut scratch[..n]) {
+                    match eng.decompress_into(&archive, ENGINE, &mut scratch[..n]) {
                         Ok(()) => {
                             gather_chunk(&scratch[..n], &spec_i.slow, &r, part);
                             (ChunkStatus::Ok, chunk_plan)
@@ -1233,12 +1114,7 @@ pub struct RepairOutcome {
 /// damaged parity shards too). See [`RepairOutcome`] for the contract —
 /// archives with unrepairable damage are diagnosed but never rewritten.
 pub fn repair(bytes: &[u8]) -> Result<RepairOutcome, CuszpError> {
-    repair_with(bytes, &WorkerPool::with_default_workers())
-}
-
-/// [`repair`] with an explicit worker pool.
-pub fn repair_with(bytes: &[u8], pool: &WorkerPool) -> Result<RepairOutcome, CuszpError> {
-    let report = scan_with(bytes, pool)?;
+    let report = scan(bytes)?;
     let untouched = |report: ScanReport| RepairOutcome {
         bytes: bytes.to_vec(),
         report,
@@ -1261,7 +1137,8 @@ pub fn repair_with(bytes: &[u8], pool: &WorkerPool) -> Result<RepairOutcome, Cus
         parity_shards: heal.report.parity_shards,
     };
     let mut out = src[..heal.region.end].to_vec();
-    if let Some(section) = ParitySection::build(&src[heal.region.clone()], &cfg, pool) {
+    let pool = WorkerPool::with_default_workers();
+    if let Some(section) = ParitySection::build(&src[heal.region.clone()], &cfg, &pool) {
         section.write_into(&mut out);
     }
     let modified = out != bytes;
@@ -1301,8 +1178,8 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.format, "csz2");
         assert_eq!(report.reports.len(), 5);
-        let strict = crate::decompress(&bytes).unwrap().0;
-        let recovered = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+        let strict = crate::decompress::<f32>(&bytes).unwrap().0;
+        let recovered = decompress_resilient::<f32>(&bytes, FillPolicy::Nan).unwrap();
         assert!(recovered.is_clean());
         assert_eq!(recovered.data, strict, "resilient path must be bit-exact");
     }
@@ -1310,14 +1187,14 @@ mod tests {
     #[test]
     fn one_corrupt_chunk_recovers_all_others_bit_exact() {
         let (_, bytes) = chunked_bytes(40_000, 8_000);
-        let strict = crate::decompress(&bytes).unwrap().0;
+        let strict = crate::decompress::<f32>(&bytes).unwrap().0;
         let report = scan(&bytes).unwrap();
         // Flip a byte inside chunk 2's body.
         let r = report.reports[2].byte_range.clone().unwrap();
         let mut bad = bytes.clone();
         bad[r.start + r.len() / 2] ^= 0x01;
 
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f32>(&bad, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 1);
         assert!(matches!(
             rec.reports[2].status,
@@ -1332,7 +1209,7 @@ mod tests {
             }
         }
 
-        let rec0 = decompress_resilient(&bad, FillPolicy::Zero).unwrap();
+        let rec0 = decompress_resilient::<f32>(&bad, FillPolicy::Zero).unwrap();
         for i in er {
             assert_eq!(rec0.data[i], 0.0);
         }
@@ -1344,7 +1221,7 @@ mod tests {
         let report = scan(&bytes).unwrap();
         let cut = report.reports[3].byte_range.clone().unwrap().start + 5;
         let trunc = &bytes[..cut];
-        let rec = decompress_resilient(trunc, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f32>(trunc, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 2);
         assert_eq!(rec.reports[3].status, ChunkStatus::Truncated);
         assert_eq!(rec.reports[4].status, ChunkStatus::Truncated);
@@ -1361,7 +1238,7 @@ mod tests {
         for b in bad[hdr.body_offset()..].iter_mut() {
             *b = 0xAA;
         }
-        assert!(decompress_resilient(&bad, FillPolicy::Nan).is_err());
+        assert!(decompress_resilient::<f32>(&bad, FillPolicy::Nan).is_err());
         // scan still works — it never allocates output.
         let report = scan(&bad).unwrap();
         assert_eq!(report.n_damaged(), report.reports.len());
@@ -1375,7 +1252,7 @@ mod tests {
         let n_off = hdr.table_offset - 4;
         bad[n_off..n_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         // Strict path rejects; scan survives and reports.
-        assert!(crate::decompress(&bad).is_err());
+        assert!(crate::decompress::<f32>(&bad).is_err());
         let report = scan(&bad).unwrap();
         assert_eq!(report.declared_chunks, u32::MAX as usize);
         assert!(!report.is_clean());
@@ -1395,13 +1272,13 @@ mod tests {
         let report = scan(&bytes).unwrap();
         assert_eq!(report.format, "v1");
         assert!(report.is_clean());
-        let rec = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f32>(&bytes, FillPolicy::Nan).unwrap();
         assert!(rec.is_clean());
         // Damage anywhere fails hard — v1 has no chunk isolation.
         let mut bad = bytes.clone();
         let n = bad.len();
         bad[n - 3] ^= 0x08;
-        assert!(decompress_resilient(&bad, FillPolicy::Nan).is_err());
+        assert!(decompress_resilient::<f32>(&bad, FillPolicy::Nan).is_err());
         let report = scan(&bad).unwrap();
         assert_eq!(report.n_damaged(), 1);
     }
@@ -1429,12 +1306,12 @@ mod tests {
     #[test]
     fn shard_damage_heals_bit_exactly_and_reports_repaired() {
         let (_, bytes) = parity_bytes(40_000, 8_000, 2, 4);
-        let strict = crate::decompress(&bytes).unwrap().0;
+        let strict = crate::decompress::<f32>(&bytes).unwrap().0;
         let hdr = parse_chunked_header(&bytes).unwrap();
         let mut bad = bytes.clone();
         bad[hdr.body_offset() + 10] ^= 0xFF;
         // The strict path refuses the damaged container; scan heals it.
-        assert!(crate::decompress(&bad).is_err());
+        assert!(crate::decompress::<f32>(&bad).is_err());
         let report = scan(&bad).unwrap();
         assert!(report.is_clean(), "in-budget damage must scan clean");
         // One 4 KiB shard can span several small chunks; every chunk the
@@ -1447,7 +1324,7 @@ mod tests {
         let parity = report.parity.expect("parity section must be diagnosed");
         assert_eq!(parity.n_repaired(), 1);
         assert_eq!(parity.n_unrepairable(), 0);
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f32>(&bad, FillPolicy::Nan).unwrap();
         assert_eq!(rec.n_damaged(), 0);
         assert!(rec.n_repaired() >= 1);
         assert_eq!(rec.data, strict, "healed decode must be bit-exact");
@@ -1456,7 +1333,7 @@ mod tests {
     #[test]
     fn damage_beyond_parity_budget_falls_back_to_fill() {
         let (_, bytes) = parity_bytes(40_000, 8_000, 1, 4);
-        let strict = crate::decompress(&bytes).unwrap().0;
+        let strict = crate::decompress::<f32>(&bytes).unwrap().0;
         let clean = scan(&bytes).unwrap();
         assert!(clean.parity.as_ref().unwrap().is_intact());
         let shard = clean.parity.as_ref().unwrap().shard_size as usize;
@@ -1469,7 +1346,7 @@ mod tests {
         let parity = report.parity.clone().unwrap();
         assert_eq!(parity.n_unrepairable(), 1);
         assert!(!report.is_clean());
-        let rec = decompress_resilient(&bad, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f32>(&bad, FillPolicy::Nan).unwrap();
         assert!(rec.n_damaged() >= 1);
         // Unrecovered slabs are filled; everything else stays bit-exact.
         for r in &rec.reports {
@@ -1487,9 +1364,8 @@ mod tests {
     #[test]
     fn repair_restores_pre_damage_bytes_exactly() {
         let (_, bytes) = parity_bytes(40_000, 8_000, 2, 4);
-        let pool = WorkerPool::new(2);
         // Clean archive: repair is a byte-identical no-op.
-        let clean = repair_with(&bytes, &pool).unwrap();
+        let clean = repair(&bytes).unwrap();
         assert!(!clean.modified);
         assert_eq!(clean.bytes, bytes);
 
@@ -1501,7 +1377,7 @@ mod tests {
         bad[hdr.body_offset() + 3] ^= 0x11;
         let last = bad.len() - 1;
         bad[last] ^= 0x22;
-        let healed = repair_with(&bad, &pool).unwrap();
+        let healed = repair(&bad).unwrap();
         assert!(healed.modified);
         assert_eq!(healed.bytes, bytes, "repair must restore original bytes");
         assert!(healed.report.is_clean());
@@ -1514,7 +1390,7 @@ mod tests {
         for i in 0..3 {
             lost[hdr.body_offset() + i * shard + 7] ^= 0x01;
         }
-        let out = repair_with(&lost, &pool).unwrap();
+        let out = repair(&lost).unwrap();
         assert!(!out.modified);
         assert_eq!(out.bytes, lost);
         assert!(out.report.n_damaged() >= 1);
@@ -1550,15 +1426,10 @@ mod tests {
     fn f64_recovery_round_trips() {
         let data: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.001).sin()).collect();
         let arc = Compressor::default()
-            .compress_chunked_f64_with(&data, Dims::D1(20_000), 5_000, &WorkerPool::new(2))
+            .compress_chunked_with(&data, Dims::D1(20_000), 5_000, &WorkerPool::new(2))
             .unwrap();
         let bytes = arc.to_bytes();
-        let rec = decompress_resilient_f64(&bytes, FillPolicy::Nan).unwrap();
+        let rec = decompress_resilient::<f64>(&bytes, FillPolicy::Nan).unwrap();
         assert!(rec.is_clean());
-        // Wrong-dtype request is refused.
-        assert!(matches!(
-            decompress_resilient(&bytes, FillPolicy::Nan),
-            Err(CuszpError::DtypeMismatch { .. })
-        ));
     }
 }

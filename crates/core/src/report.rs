@@ -22,7 +22,7 @@ use crate::error::{ArchiveSection, CuszpError};
 use crate::recovery::{
     ChunkReport, ChunkStatus, ParityReport, RecoveredField, ScanReport, StripeStatus,
 };
-use crate::{CodecPlan, Dims, Dtype, LosslessStage, Predictor};
+use crate::{CodecPlan, Dims, Dtype, LosslessStage, Predictor, Scalar};
 use cuszp_analysis::WorkflowChoice;
 use std::ops::Range;
 
@@ -266,11 +266,11 @@ impl From<&ScanReport> for PortableScanReport {
 impl PortableScanReport {
     /// Builds the report carried by a resilient-decompression response:
     /// the per-chunk and parity diagnosis of a [`RecoveredField`].
-    pub fn from_recovered<T>(rf: &RecoveredField<T>, dtype: Dtype) -> Self {
+    pub fn from_recovered<T: Scalar>(rf: &RecoveredField<T>) -> Self {
         PortableScanReport {
             format: "csz2".to_string(),
             dims: Some(rf.dims),
-            dtype: Some(dtype),
+            dtype: Some(Dtype::of::<T>()),
             declared_chunks: rf.reports.len() as u64,
             chunks: portable_chunks(&rf.reports),
             parity: rf.parity.as_ref().map(portable_parity),

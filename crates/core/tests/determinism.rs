@@ -83,7 +83,7 @@ fn archives_are_byte_identical_across_thread_counts() {
         }
 
         // The generic byte entry point takes the same container.
-        let (recon, got_dims) = decompress(&reference).unwrap();
+        let (recon, got_dims) = decompress::<f32>(&reference).unwrap();
         assert_eq!(got_dims, dims);
         assert_eq!(recon.len(), data.len());
     }

@@ -88,7 +88,7 @@ fn v1_archive_bytes_are_pinned_per_workflow() {
 fn v1_f64_archive_bytes_are_pinned() {
     let data = field_f64(30_000);
     let bytes = abs_compressor(1e-3)
-        .compress_f64(&data, Dims::D1(30_000))
+        .compress(&data, Dims::D1(30_000))
         .unwrap()
         .to_bytes();
     let got = fnv1a(&bytes);
@@ -166,7 +166,7 @@ fn parity_extends_pinned_chunked_bytes_without_perturbing_them() {
 fn chunked_f64_archive_bytes_are_pinned() {
     let data = field_f64(60_000);
     let bytes = abs_compressor(5e-4)
-        .compress_chunked_f64_with(&data, Dims::D1(60_000), 16_000, &WorkerPool::new(2))
+        .compress_chunked_with(&data, Dims::D1(60_000), 16_000, &WorkerPool::new(2))
         .unwrap()
         .to_bytes();
     let got = fnv1a(&bytes);
@@ -174,21 +174,6 @@ fn chunked_f64_archive_bytes_are_pinned() {
         got, GOLDEN_CSZ2_F64,
         "CSZ2 f64 archive drifted: {got:#018x}"
     );
-}
-
-#[test]
-fn stream_archive_bytes_are_pinned() {
-    let data = field_f32(50_000);
-    let c = Compressor::new(Config {
-        error_bound: ErrorBound::Relative(1e-3),
-        ..Config::default()
-    });
-    let bytes = c
-        .compress_stream(&data, Dims::D2 { ny: 250, nx: 200 }, 12_000)
-        .unwrap()
-        .to_bytes();
-    let got = fnv1a(&bytes);
-    assert_eq!(got, GOLDEN_CSZS, "stream archive drifted: {got:#018x}");
 }
 
 #[test]
@@ -206,7 +191,7 @@ fn snapshot_bytes_are_pinned() {
 
 #[test]
 fn recovery_of_pinned_archive_is_bit_exact() {
-    // The fourth driver: per-chunk recovery decode must reproduce the
+    // The recovery driver: per-chunk recovery decode must reproduce the
     // strict path bit-for-bit on an undamaged container.
     let data = field_f32(120_000);
     let dims = Dims::D2 { ny: 300, nx: 400 };
@@ -218,8 +203,8 @@ fn recovery_of_pinned_archive_is_bit_exact() {
         .compress_chunked_with(&data, dims, 25_000, &WorkerPool::new(1))
         .unwrap()
         .to_bytes();
-    let strict = cuszp_core::decompress(&bytes).unwrap().0;
-    let rec = cuszp_core::decompress_resilient(&bytes, cuszp_core::FillPolicy::Nan).unwrap();
+    let strict = cuszp_core::decompress::<f32>(&bytes).unwrap().0;
+    let rec = cuszp_core::decompress_resilient::<f32>(&bytes, cuszp_core::FillPolicy::Nan).unwrap();
     assert!(rec.is_clean());
     assert_eq!(rec.data, strict);
     let raw: Vec<u8> = strict.iter().flat_map(|x| x.to_le_bytes()).collect();
@@ -284,6 +269,5 @@ const GOLDEN_V1_RLEVLE: u64 = 0x52cc_bf7c_fcc2_314b;
 const GOLDEN_V1_F64: u64 = 0x0df1_5c34_2bdd_adb3;
 const GOLDEN_CSZ2_F32: u64 = 0x178d_33d0_f8a9_00b4;
 const GOLDEN_CSZ2_F64: u64 = 0x084f_8668_5ca2_fa3b;
-const GOLDEN_CSZS: u64 = 0xa219_994f_dc9c_f6b7;
 const GOLDEN_CSSN: u64 = 0x7bc3_743f_3863_5fa9;
 const GOLDEN_RECON_F32: u64 = 0xef1c_7873_1edc_c786;

@@ -1,4 +1,4 @@
-//! f32/f64 parity properties across the four pipeline drivers.
+//! f32/f64 parity properties across the three pipeline drivers.
 //!
 //! An `f32` widens to `f64` exactly and the unified engine prequantizes
 //! in f64 for both element types, so the same field compressed as f32
@@ -10,8 +10,8 @@
 //! exactly on undamaged archives.
 
 use cuszp_core::{
-    decompress, decompress_f64, decompress_resilient, decompress_resilient_f64, Compressor, Config,
-    ErrorBound, FillPolicy, ReconstructEngine, WorkflowChoice, WorkflowMode,
+    decompress, decompress_resilient, Compressor, Config, ErrorBound, FillPolicy, WorkflowChoice,
+    WorkflowMode,
 };
 use cuszp_parallel::WorkerPool;
 use cuszp_predictor::Dims;
@@ -66,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn all_four_drivers_agree_across_dtypes(
+    fn all_three_drivers_agree_across_dtypes(
         dims in arb_dims(),
         seed in any::<u64>(),
         eb_exp in -4i32..-1,
@@ -97,12 +97,12 @@ proptest! {
         // bound's resolution) is computed in f64, so both dtypes resolve
         // the exact same absolute bound and quant codes.
         let a32 = c.compress(&data32, dims).unwrap();
-        let a64 = c.compress_f64(&data64, dims).unwrap();
+        let a64 = c.compress(&data64, dims).unwrap();
         prop_assert_eq!(a32.payload.choice(), a64.payload.choice());
         prop_assert_eq!(a32.outliers.len(), a64.outliers.len());
         prop_assert_eq!(a32.eb.to_bits(), a64.eb.to_bits());
-        let (r32, d32) = decompress(&a32.to_bytes()).unwrap();
-        let (r64, _) = decompress_f64(&a64.to_bytes()).unwrap();
+        let (r32, d32) = decompress::<f32>(&a32.to_bytes()).unwrap();
+        let (r64, _) = decompress::<f64>(&a64.to_bytes()).unwrap();
         prop_assert_eq!(d32, dims);
         assert_bits_eq_after_narrowing(&r32, &r64, "v1")?;
         let abs_eb = a32.eb;
@@ -129,43 +129,25 @@ proptest! {
         prop_assert_eq!(stats.n_elements(), n);
         prop_assert_eq!(stats.per_chunk.len(), ca32.n_chunks());
         let ca64 = c
-            .compress_chunked_f64_with(&data64, dims, target, &WorkerPool::new(3))
+            .compress_chunked_with(&data64, dims, target, &WorkerPool::new(3))
             .unwrap();
         prop_assert_eq!(ca32.n_chunks(), ca64.n_chunks());
         for (c32, c64) in ca32.chunks.iter().zip(&ca64.chunks) {
             prop_assert_eq!(c32.payload.choice(), c64.payload.choice());
             prop_assert_eq!(c32.outliers.len(), c64.outliers.len());
         }
-        let (cr32, _) = decompress(&bytes3).unwrap();
-        let (cr64, _) = decompress_f64(&ca64.to_bytes()).unwrap();
+        let (cr32, _) = decompress::<f32>(&bytes3).unwrap();
+        let (cr64, _) = decompress::<f64>(&ca64.to_bytes()).unwrap();
         assert_bits_eq_after_narrowing(&cr32, &cr64, "chunked")?;
 
-        // Driver 3: streaming slabs (f32-only API). Relative bounds
-        // resolve per slab, so verify against each block's own bound.
-        let s32 = c.compress_stream(&data32, dims, target).unwrap();
-        let (sr32, sdims) = s32.decompress(ReconstructEngine::FinePartialSum).unwrap();
-        prop_assert_eq!(sdims, dims);
-        let mut off = 0usize;
-        for b in &s32.blocks {
-            let bn = b.dims.len();
-            for (o, r) in data32[off..off + bn].iter().zip(&sr32[off..off + bn]) {
-                let slack = b.eb * (1.0 + 1e-6) + (o.abs() as f64) * f32::EPSILON as f64;
-                prop_assert!(
-                    ((o - r).abs() as f64) <= slack,
-                    "stream bound {} violated: {} vs {}", b.eb, o, r
-                );
-            }
-            off += bn;
-        }
-
-        // Driver 4: recovery. On undamaged archives (v1 and chunked) the
+        // Driver 3: recovery. On undamaged archives (v1 and chunked) the
         // resilient decoder must reproduce the plain decoder bit-for-bit.
-        let rv32 = decompress_resilient(&a32.to_bytes(), FillPolicy::Nan).unwrap();
+        let rv32 = decompress_resilient::<f32>(&a32.to_bytes(), FillPolicy::Nan).unwrap();
         prop_assert_eq!(rv32.n_damaged(), 0);
         assert_bits_eq_after_narrowing(&rv32.data, &r64, "recovery v1")?;
-        let rc32 = decompress_resilient(&bytes3, FillPolicy::Nan).unwrap();
+        let rc32 = decompress_resilient::<f32>(&bytes3, FillPolicy::Nan).unwrap();
         prop_assert_eq!(rc32.n_damaged(), 0);
-        let rc64 = decompress_resilient_f64(&ca64.to_bytes(), FillPolicy::Nan).unwrap();
+        let rc64 = decompress_resilient::<f64>(&ca64.to_bytes(), FillPolicy::Nan).unwrap();
         prop_assert_eq!(rc64.n_damaged(), 0);
         assert_bits_eq_after_narrowing(&rc32.data, &rc64.data, "recovery chunked")?;
         for (a, b) in rc32.data.iter().zip(&cr32) {

@@ -4,9 +4,9 @@
 //! reject bad specs with typed errors instead of panicking.
 
 use cuszp_core::{
-    decompress_range, decompress_range_f64, decompress_range_resilient,
-    decompress_range_with_fetch, slice_field, ChunkStatus, Compressor, Config, CuszpError, Dims,
-    ErrorBound, FillPolicy, PipelineEngine, RangeSpec, ReconstructEngine,
+    decompress_range, decompress_range_resilient, decompress_range_with_fetch, slice_field,
+    ChunkStatus, Compressor, Config, CuszpError, Dims, ErrorBound, FillPolicy, PipelineEngine,
+    RangeSpec, ReconstructEngine,
 };
 use cuszp_parallel::WorkerPool;
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ proptest! {
             .unwrap();
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         prop_assert_eq!(got_dims, want_dims);
         prop_assert_eq!(
@@ -119,14 +119,14 @@ proptest! {
         let spec = spec_for(dims, &seeds);
         let pool = WorkerPool::new(workers);
         let arc = compressor()
-            .compress_chunked_f64_with(&field_f64(dims.len()), dims, CHUNK_TARGET, &pool)
+            .compress_chunked_with(&field_f64(dims.len()), dims, CHUNK_TARGET, &pool)
             .unwrap();
         let (full, _) = arc
-            .decompress_f64_with(ReconstructEngine::FinePartialSum, &pool)
+            .decode(ReconstructEngine::FinePartialSum, &pool)
             .unwrap();
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_f64_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         prop_assert_eq!(got_dims, want_dims);
         prop_assert_eq!(
@@ -152,7 +152,7 @@ proptest! {
             .unwrap();
         let bytes = arc.to_bytes();
         let (want, want_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         let (got, got_dims) = decompress_range(&bytes, &spec).unwrap();
         prop_assert_eq!(got_dims, want_dims);
@@ -190,7 +190,7 @@ fn edge_ranges_single_element_full_field_and_chunk_straddling() {
     ] {
         let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
         let (got, got_dims) = arc
-            .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+            .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
             .unwrap();
         assert_eq!(got_dims, want_dims, "{spec}");
         assert_eq!(bits_f32(&got), bits_f32(&want), "{spec}");
@@ -219,34 +219,26 @@ fn bad_specs_are_typed_errors_not_panics() {
     for spec in &bad {
         assert!(
             matches!(
-                arc.decompress_range(ReconstructEngine::FinePartialSum, spec),
+                arc.decode_range::<f32>(ReconstructEngine::FinePartialSum, spec, &pool),
                 Err(CuszpError::InvalidRange { .. })
             ),
             "method path accepted {spec}"
         );
         assert!(
             matches!(
-                decompress_range(&bytes, spec),
+                decompress_range::<f32>(&bytes, spec),
                 Err(CuszpError::InvalidRange { .. })
             ),
             "bytes path accepted {spec}"
         );
         assert!(
             matches!(
-                decompress_range_resilient(&bytes, spec, FillPolicy::Nan),
+                decompress_range_resilient::<f32>(&bytes, spec, FillPolicy::Nan),
                 Err(CuszpError::InvalidRange { .. })
             ),
             "resilient path accepted {spec}"
         );
     }
-    // Wrong dtype is the usual typed mismatch, not a range error.
-    assert!(matches!(
-        arc.decompress_range_f64(
-            ReconstructEngine::FinePartialSum,
-            &RangeSpec::new(vec![0..1, 0..1])
-        ),
-        Err(CuszpError::DtypeMismatch { .. })
-    ));
 }
 
 /// Satellite: degenerate chunk-geometry corners through the range path —
@@ -307,7 +299,7 @@ fn degenerate_dims_round_trip_through_the_range_path() {
         for spec in [full_spec, mid_spec] {
             let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
             let (got, got_dims) = arc
-                .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+                .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
                 .unwrap();
             assert_eq!(got_dims, want_dims, "{dims:?} target {target} {spec}");
             assert_eq!(
@@ -329,20 +321,18 @@ fn v1_archives_serve_ranges_via_full_decode() {
     let data = field_f32(dims.len());
     let archive = compressor().compress(&data, dims).unwrap();
     let bytes = archive.to_bytes();
-    let (full, _) = cuszp_core::decompress(&bytes).unwrap();
+    let (full, _) = cuszp_core::decompress::<f32>(&bytes).unwrap();
     let spec = RangeSpec::new(vec![1..5, 2..9, 5..15]);
     let (want, want_dims) = slice_field(&full, dims, &spec).unwrap();
     let (got, got_dims) = decompress_range(&bytes, &spec).unwrap();
     assert_eq!(got_dims, want_dims);
     assert_eq!(bits_f32(&got), bits_f32(&want));
     // f64 flavor too.
-    let arc64 = compressor()
-        .compress_f64(&field_f64(dims.len()), dims)
-        .unwrap();
+    let arc64 = compressor().compress(&field_f64(dims.len()), dims).unwrap();
     let bytes64 = arc64.to_bytes();
-    let (full64, _) = cuszp_core::decompress_f64(&bytes64).unwrap();
+    let (full64, _) = cuszp_core::decompress::<f64>(&bytes64).unwrap();
     let (want64, _) = slice_field(&full64, dims, &spec).unwrap();
-    let (got64, _) = decompress_range_f64(&bytes64, &spec).unwrap();
+    let (got64, _) = decompress_range(&bytes64, &spec).unwrap();
     assert_eq!(bits_f64(&got64), bits_f64(&want64));
 }
 
@@ -391,7 +381,7 @@ fn fetch_hook_skips_decoding_on_warm_reads() {
     assert_eq!(bits_f32(&cold), bits_f32(&warm));
     // And both agree with the uncached path.
     let (want, _) = arc
-        .decompress_range_with(ReconstructEngine::FinePartialSum, &spec, &pool)
+        .decode_range(ReconstructEngine::FinePartialSum, &spec, &pool)
         .unwrap();
     assert_eq!(bits_f32(&cold), bits_f32(&want));
     // A cached slab of the wrong length is ignored, not trusted.

@@ -34,7 +34,7 @@ fn campaign_base() -> (Vec<u8>, Vec<f32>, Vec<Range<usize>>) {
         )
         .unwrap()
         .to_bytes();
-    let clean = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+    let clean = decompress_resilient::<f32>(&bytes, FillPolicy::Nan).unwrap();
     assert!(clean.is_clean(), "pristine container must scan clean");
     assert!(clean.reports.len() >= 3, "campaign needs several chunks");
     let slabs: Vec<Range<usize>> = clean.reports.iter().map(|r| r.elem_range.clone()).collect();
@@ -75,7 +75,7 @@ fn seeded_campaign_holds_the_recovery_contract() {
             );
         }
 
-        let rf = match decompress_resilient(&case.bytes, FillPolicy::Nan) {
+        let rf = match decompress_resilient::<f32>(&case.bytes, FillPolicy::Nan) {
             Err(_) => continue, // hard failure is a valid outcome; silence is not
             Ok(rf) => rf,
         };
@@ -141,7 +141,7 @@ fn campaign_zero_fill_policy_is_honored() {
     let (base, _, _) = campaign_base();
     // A smaller sweep re-checking the fill policy on the same seed.
     for case in cuszp_faultsim::campaign(&base, CAMPAIGN_SEED, 64) {
-        if let Ok(rf) = decompress_resilient(&case.bytes, FillPolicy::Zero) {
+        if let Ok(rf) = decompress_resilient::<f32>(&case.bytes, FillPolicy::Zero) {
             for rep in rf.reports.iter().filter(|r| !r.status.is_ok()) {
                 assert!(
                     rf.data[rep.elem_range.clone()].iter().all(|&v| v == 0.0),
@@ -194,7 +194,7 @@ fn plan_descriptor_campaign_yields_typed_parse_faults() {
 
         // Resilient decompression fills only the damaged slab; every
         // other chunk reconstructs bit-exactly.
-        let rf = decompress_resilient(&case.bytes, FillPolicy::Nan)
+        let rf = decompress_resilient::<f32>(&case.bytes, FillPolicy::Nan)
             .expect("other chunks stay recoverable");
         for (i, slab) in slabs.iter().enumerate() {
             if malformed.contains(&i) {

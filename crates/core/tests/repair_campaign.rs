@@ -57,7 +57,7 @@ fn campaign_base() -> (Vec<u8>, Vec<f32>) {
     )
     .unwrap()
     .to_bytes();
-    let clean = decompress_resilient(&bytes, FillPolicy::Nan).unwrap();
+    let clean = decompress_resilient::<f32>(&bytes, FillPolicy::Nan).unwrap();
     assert!(clean.is_clean(), "pristine container must scan clean");
     let geo = parse_parity(&bytes).expect("container must carry parity");
     assert!(geo.n_stripes >= 2, "campaign needs several stripes");
@@ -79,7 +79,7 @@ fn seeded_parity_campaign_holds_the_repair_contract() {
     for case in &cases {
         let ctx = |what: &str| format!("case {} ({}): {what}", case.id, case.description);
 
-        let rf = decompress_resilient(&case.bytes, FillPolicy::Nan)
+        let rf = decompress_resilient::<f32>(&case.bytes, FillPolicy::Nan)
             .unwrap_or_else(|e| panic!("{}", ctx(&format!("resilient decode refused: {e}"))));
         assert_eq!(rf.data.len(), reference.len(), "{}", ctx("field length"));
 

@@ -32,6 +32,19 @@ pub fn compression_ratio(original_bytes: usize, compressed_bytes: usize) -> f64 
     original_bytes as f64 / compressed_bytes as f64
 }
 
+/// FNV-1a 64-bit hash — the workspace's checksum of record. Archive
+/// payloads, parity shards, CSRP frames, cluster placement and the shard
+/// store all hash with this one function, because checksums cross those
+/// boundaries.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Bit rate in output bits per input element.
 pub fn bit_rate(elements: usize, compressed_bytes: usize) -> f64 {
     if elements == 0 {
@@ -67,6 +80,13 @@ mod tests {
         assert_eq!(compression_ratio(100, 10), 10.0);
         assert_eq!(compression_ratio(0, 0), 1.0);
         assert!(compression_ratio(10, 0).is_infinite());
+    }
+
+    #[test]
+    fn fnv1a_is_the_standard_64_bit_variant() {
+        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

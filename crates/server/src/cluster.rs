@@ -585,17 +585,6 @@ impl ClusterClient {
         Ok((samples, dims, got.degraded))
     }
 
-    /// [`ClusterClient::get_range`] for `f64` archives.
-    pub fn get_range_f64(
-        &mut self,
-        key: &str,
-        spec: &cuszp_core::RangeSpec,
-    ) -> Result<(Vec<f64>, cuszp_core::Dims, bool), ClusterError> {
-        let got = self.get(key)?;
-        let (samples, dims) = cuszp_core::decompress_range_f64(&got.bytes, spec)?;
-        Ok((samples, dims, got.degraded))
-    }
-
     /// Anti-entropy pass: reads every reachable node's verified shard
     /// inventory, finds stripe slots missing from their owners (dead
     /// node that came back empty, corrupt shard dropped by the verify),

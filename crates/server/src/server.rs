@@ -35,7 +35,7 @@ use crate::wire::{
 use cuszp_core::{
     is_chunked_archive, Archive, ChunkedArchive, Compressor, Config, CuszpError, Dims, Dtype,
     LosslessStage, PipelineEngine, PortableScanReport, Predictor, RangeSpec, ReconstructEngine,
-    RecoveredField, Scalar,
+    Scalar,
 };
 use cuszp_parallel::{WorkerPool, DEFAULT_CHUNK_ELEMS};
 use std::collections::VecDeque;
@@ -779,16 +779,12 @@ fn handle_list_shards(shared: &Shared) -> Result<Vec<u8>, ErrorResponse> {
     Ok(ShardListResponse { records }.encode())
 }
 
-fn alloc_scalars<T: Copy + Default>(
-    bytes: &[u8],
-    width: usize,
-    from_le: impl FnMut(&[u8]) -> T,
-) -> Result<Vec<T>, ErrorResponse> {
-    let n = bytes.len() / width;
+fn alloc_scalars<T: Scalar>(bytes: &[u8]) -> Result<Vec<T>, ErrorResponse> {
+    let n = bytes.len() / T::BYTES;
     let mut out: Vec<T> = Vec::new();
     out.try_reserve_exact(n)
         .map_err(|_| ErrorResponse::new(ErrorCode::Pipeline, "field allocation refused"))?;
-    out.extend(bytes.chunks_exact(width).map(from_le));
+    out.extend(bytes.chunks_exact(T::BYTES).map(T::read_le));
     Ok(out)
 }
 
@@ -816,19 +812,20 @@ fn handle_compress(
             .map_err(|_| ErrorResponse::new(ErrorCode::BadRequest, "chunk target too large"))?
     };
     let mut arc = match req.dtype {
-        Dtype::F32 => {
-            let data = alloc_scalars(req.data, 4, |c| f32::from_le_bytes(c.try_into().unwrap()))?;
-            compressor
-                .compress_chunked_with_engine(&data, req.dims, target, engine)
-                .map_err(pipeline_error)?
-        }
-        Dtype::F64 => {
-            let data = alloc_scalars(req.data, 8, |c| f64::from_le_bytes(c.try_into().unwrap()))?;
-            compressor
-                .compress_chunked_f64_with_engine(&data, req.dims, target, engine)
-                .map_err(pipeline_error)?
-        }
-    };
+        Dtype::F32 => compressor.compress_chunked_with_engine(
+            &alloc_scalars::<f32>(req.data)?,
+            req.dims,
+            target,
+            engine,
+        ),
+        Dtype::F64 => compressor.compress_chunked_with_engine(
+            &alloc_scalars::<f64>(req.data)?,
+            req.dims,
+            target,
+            engine,
+        ),
+    }
+    .map_err(pipeline_error)?;
     for chunk in &arc.chunks {
         let plan = chunk.plan();
         match plan.predictor {
@@ -847,69 +844,47 @@ fn handle_compress(
     Ok(arc.to_bytes())
 }
 
+/// A decoded field or sub-volume as the wire carries it: shape, the
+/// per-chunk report of a resilient decode, and little-endian samples.
+type Decoded = (Dims, Option<PortableScanReport>, Vec<u8>);
+
+/// The archive's stored element type. An unusable header reads as
+/// `f32`, whose decode then reports the parser's typed error.
+fn stored_dtype(archive: &[u8]) -> Dtype {
+    Dtype::of_archive(archive).unwrap_or(Dtype::F32)
+}
+
+fn respond(dtype: Dtype, decoded: Result<Decoded, CuszpError>) -> Result<Vec<u8>, ErrorResponse> {
+    let (dims, report, data) = decoded.map_err(pipeline_error)?;
+    Ok(DecompressResponse {
+        dtype,
+        dims,
+        report,
+        data,
+    }
+    .encode())
+}
+
 fn handle_decompress(payload: &[u8]) -> Result<Vec<u8>, ErrorResponse> {
     let req = DecompressRequest::decode(payload).map_err(wire_error)?;
+    let dtype = stored_dtype(req.archive);
+    let decoded = match dtype {
+        Dtype::F32 => decode_field::<f32>(&req),
+        Dtype::F64 => decode_field::<f64>(&req),
+    };
+    respond(dtype, decoded)
+}
+
+fn decode_field<T: Scalar>(req: &DecompressRequest) -> Result<Decoded, CuszpError> {
     match req.mode {
         DecompressMode::Strict => {
-            let (dtype, dims, data) = match cuszp_core::decompress(req.archive) {
-                Ok((data, dims)) => (
-                    Dtype::F32,
-                    dims,
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let (data, dims) =
-                        cuszp_core::decompress_f64(req.archive).map_err(pipeline_error)?;
-                    (
-                        Dtype::F64,
-                        dims,
-                        data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    )
-                }
-                Err(e) => return Err(pipeline_error(e)),
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
-            }
-            .encode())
+            let (data, dims) = cuszp_core::decompress::<T>(req.archive)?;
+            Ok((dims, None, T::le_bytes(&data)))
         }
         DecompressMode::Recover(fill) => {
-            let (dtype, dims, report, data): (_, _, _, Vec<u8>) =
-                match cuszp_core::decompress_resilient(req.archive, fill) {
-                    Ok(rf) => {
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F32);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F32,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(CuszpError::DtypeMismatch { .. }) => {
-                        let rf = cuszp_core::decompress_resilient_f64(req.archive, fill)
-                            .map_err(pipeline_error)?;
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F64);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F64,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(e) => return Err(pipeline_error(e)),
-                };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: Some(report),
-                data,
-            }
-            .encode())
+            let rf = cuszp_core::decompress_resilient::<T>(req.archive, fill)?;
+            let report = PortableScanReport::from_recovered(&rf);
+            Ok((rf.dims, Some(report), T::le_bytes(&rf.data)))
         }
     }
 }
@@ -928,8 +903,6 @@ fn serve_cached_range<T: Scalar>(
     key_hash: u64,
     shared: &Shared,
     engine: &mut PipelineEngine,
-    to_le: impl Fn(&[T]) -> Vec<u8>,
-    from_le: impl Fn(&[u8]) -> Vec<T>,
 ) -> Result<(Dims, Vec<u8>), CuszpError> {
     let caching = shared.config.cache_bytes > 0;
     let mut fetch = |i: usize| -> Option<Vec<T>> {
@@ -944,7 +917,7 @@ fn serve_cached_range<T: Scalar>(
         match hit {
             Some(bytes) => {
                 shared.metrics.cache_hits.incr();
-                Some(from_le(&bytes))
+                Some(bytes.chunks_exact(T::BYTES).map(T::read_le).collect())
             }
             None => {
                 shared.metrics.cache_misses.incr();
@@ -960,7 +933,7 @@ fn serve_cached_range<T: Scalar>(
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .insert((key_hash, i as u32), Arc::new(to_le(slab)));
+            .insert((key_hash, i as u32), Arc::new(T::le_bytes(slab)));
         shared.metrics.cache_evictions.add(evicted);
     };
     let (data, dims) = cuszp_core::decompress_range_with_fetch(
@@ -971,7 +944,7 @@ fn serve_cached_range<T: Scalar>(
         &mut fetch,
         &mut store,
     )?;
-    Ok((dims, to_le(&data)))
+    Ok((dims, T::le_bytes(&data)))
 }
 
 fn handle_get_range(
@@ -980,122 +953,38 @@ fn handle_get_range(
     engine: &mut PipelineEngine,
 ) -> Result<Vec<u8>, ErrorResponse> {
     let req = GetRangeRequest::decode(payload).map_err(wire_error)?;
+    let dtype = stored_dtype(req.archive);
+    let decoded = match dtype {
+        Dtype::F32 => read_range::<f32>(&req, shared, engine),
+        Dtype::F64 => read_range::<f64>(&req, shared, engine),
+    };
+    respond(dtype, decoded)
+}
+
+fn read_range<T: Scalar>(
+    req: &GetRangeRequest,
+    shared: &Shared,
+    engine: &mut PipelineEngine,
+) -> Result<Decoded, CuszpError> {
     match req.mode {
         DecompressMode::Strict if is_chunked_archive(req.archive) => {
-            let arc = ChunkedArchive::from_bytes(req.archive).map_err(pipeline_error)?;
+            let arc = ChunkedArchive::from_bytes(req.archive)?;
             let key_hash = fnv1a(req.archive);
-            let (dtype, dims, data) = match arc.dtype {
-                Dtype::F32 => {
-                    let (dims, data) = serve_cached_range::<f32>(
-                        &arc,
-                        &req.spec,
-                        key_hash,
-                        shared,
-                        engine,
-                        |s| s.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        |b| {
-                            b.chunks_exact(4)
-                                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                                .collect()
-                        },
-                    )
-                    .map_err(pipeline_error)?;
-                    (Dtype::F32, dims, data)
-                }
-                Dtype::F64 => {
-                    let (dims, data) = serve_cached_range::<f64>(
-                        &arc,
-                        &req.spec,
-                        key_hash,
-                        shared,
-                        engine,
-                        |s| s.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        |b| {
-                            b.chunks_exact(8)
-                                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                                .collect()
-                        },
-                    )
-                    .map_err(pipeline_error)?;
-                    (Dtype::F64, dims, data)
-                }
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
-            }
-            .encode())
+            let (dims, data) = serve_cached_range::<T>(&arc, &req.spec, key_hash, shared, engine)?;
+            Ok((dims, None, data))
         }
         DecompressMode::Strict => {
             // v1 single-chunk archives: a range read is a full decode
             // plus a slice — nothing chunk-grained to cache.
-            let (dtype, dims, data) = match cuszp_core::decompress_range(req.archive, &req.spec) {
-                Ok((data, dims)) => (
-                    Dtype::F32,
-                    dims,
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let (data, dims) = cuszp_core::decompress_range_f64(req.archive, &req.spec)
-                        .map_err(pipeline_error)?;
-                    (
-                        Dtype::F64,
-                        dims,
-                        data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    )
-                }
-                Err(e) => return Err(pipeline_error(e)),
-            };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: None,
-                data,
-            }
-            .encode())
+            let (data, dims) = cuszp_core::decompress_range::<T>(req.archive, &req.spec)?;
+            Ok((dims, None, T::le_bytes(&data)))
         }
         DecompressMode::Recover(fill) => {
             // Damaged archives must never seed the cache: the resilient
             // path decodes uncached and reports per-chunk outcomes.
-            let (dtype, dims, report, data): (_, _, _, Vec<u8>) =
-                match cuszp_core::decompress_range_resilient(req.archive, &req.spec, fill) {
-                    Ok(rf) => {
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F32);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F32,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(CuszpError::DtypeMismatch { .. }) => {
-                        let rf = cuszp_core::decompress_range_resilient_f64(
-                            req.archive,
-                            &req.spec,
-                            fill,
-                        )
-                        .map_err(pipeline_error)?;
-                        let report = PortableScanReport::from_recovered(&rf, Dtype::F64);
-                        let RecoveredField { data, dims, .. } = rf;
-                        (
-                            Dtype::F64,
-                            dims,
-                            report,
-                            data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                        )
-                    }
-                    Err(e) => return Err(pipeline_error(e)),
-                };
-            Ok(DecompressResponse {
-                dtype,
-                dims,
-                report: Some(report),
-                data,
-            }
-            .encode())
+            let rf = cuszp_core::decompress_range_resilient::<T>(req.archive, &req.spec, fill)?;
+            let report = PortableScanReport::from_recovered(&rf);
+            Ok((rf.dims, Some(report), T::le_bytes(&rf.data)))
         }
     }
 }

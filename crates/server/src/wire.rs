@@ -29,6 +29,8 @@ use cuszp_core::{
 };
 use std::io::{Read, Write};
 
+pub use cuszp_metrics::fnv1a;
+
 /// Frame magic: "CSRP" little-endian.
 pub const WIRE_MAGIC: u32 = 0x5052_5343;
 /// Protocol version this build speaks (minor bump 3: the cluster tier —
@@ -53,18 +55,6 @@ const READ_SLAB_BYTES: usize = 4 << 20;
 pub const FLAG_RESPONSE: u8 = 0x01;
 /// Error-response flag bit (implies [`FLAG_RESPONSE`]).
 pub const FLAG_ERROR: u8 = 0x02;
-
-/// FNV-1a over a byte slice (the workspace's checksum of record).
-/// Must agree with `cuszp_store::fnv1a` and the core archive checksum:
-/// shard checksums cross the backend boundary, so one convention rules.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Request/response operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1381,15 +1371,6 @@ impl ShardListResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_is_the_standard_64_bit_variant() {
-        // Pinned reference values: the same convention as cuszp-core and
-        // cuszp-store, so checksums computed on either side of the
-        // ShardBackend trait compare equal.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn frame_roundtrip() {

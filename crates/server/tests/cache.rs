@@ -4,9 +4,7 @@
 //! archive hash is a different key space, and concurrent clients
 //! hammering the same hot chunk never see torn reads.
 
-use cuszp_core::{
-    Compressor, Config, Dims, Dtype, ErrorBound, RangeSpec, ReconstructEngine, WorkflowMode,
-};
+use cuszp_core::{Compressor, Config, Dims, Dtype, ErrorBound, RangeSpec, WorkflowMode};
 use cuszp_parallel::WorkerPool;
 use cuszp_server::{Client, DecompressMode, Server, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
@@ -65,10 +63,7 @@ fn archive(phase: f32) -> Vec<u8> {
 
 /// The locally computed reference slice for a spec, as LE bytes.
 fn reference_slice(bytes: &[u8], spec: &RangeSpec) -> Vec<u8> {
-    let arc = cuszp_core::ChunkedArchive::from_bytes(bytes).expect("parse");
-    let (data, _) = arc
-        .decompress_range(ReconstructEngine::FinePartialSum, spec)
-        .expect("local range");
+    let (data, _) = cuszp_core::decompress_range::<f32>(bytes, spec).expect("local range");
     data.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 

@@ -10,7 +10,7 @@
 
 use cuszp_core::{
     Compressor, Config, Dims, ErrorBound, FillPolicy, ParityConfig, PortableChunkStatus, RangeSpec,
-    ReconstructEngine, WorkflowMode,
+    WorkflowMode,
 };
 use cuszp_faultsim::targeted_campaign;
 use cuszp_parallel::WorkerPool;
@@ -68,10 +68,7 @@ fn archive(parity: Option<ParityConfig>) -> Vec<u8> {
 
 /// The clean reference slice for a spec, as LE bytes.
 fn reference_slice(bytes: &[u8], spec: &RangeSpec) -> Vec<u8> {
-    let arc = cuszp_core::ChunkedArchive::from_bytes(bytes).expect("parse clean");
-    let (data, _) = arc
-        .decompress_range(ReconstructEngine::FinePartialSum, spec)
-        .expect("clean range");
+    let (data, _) = cuszp_core::decompress_range::<f32>(bytes, spec).expect("clean range");
     data.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 

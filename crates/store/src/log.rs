@@ -32,7 +32,8 @@ use crate::record::{
     parse_record, parse_segment_header, segment_header, Parsed, Record, RecordFault, RecordKind,
     MAX_KEY_BYTES, MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
 };
-use crate::{fnv1a, FsyncPolicy, StoreConfig, StoreError};
+use crate::{FsyncPolicy, StoreConfig, StoreError};
+use cuszp_metrics::fnv1a;
 
 /// Cap on remembered *runtime* faults (rot found by `get`/`list` after
 /// boot); the counter keeps counting past it.

@@ -26,7 +26,7 @@
 //! record or exactly one [`RecordFault`]; nothing panics and nothing
 //! allocates before the lengths have been bounds-checked.
 
-use crate::fnv1a;
+use cuszp_metrics::fnv1a;
 
 /// First four bytes of every record.
 pub const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"CZLR");

@@ -25,7 +25,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cuszp_faultsim::disk::{copy_dir, disk_campaign};
-use cuszp_store::{fnv1a, FsyncPolicy, LogStore, StoreConfig};
+use cuszp_metrics::fnv1a;
+use cuszp_store::{FsyncPolicy, LogStore, StoreConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

@@ -6,8 +6,9 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use cuszp_metrics::fnv1a;
 use cuszp_store::record::{parse_record, Parsed, Record, RecordKind};
-use cuszp_store::{fnv1a, FsyncPolicy, LogStore, StoreConfig};
+use cuszp_store::{FsyncPolicy, LogStore, StoreConfig};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {

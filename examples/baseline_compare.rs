@@ -33,7 +33,7 @@ fn main() {
             let (archive, stats) = compressor
                 .compress_with_stats(&field.data, field.dims)
                 .unwrap();
-            let (recon, _) = cuszp::decompress(&archive.to_bytes()).unwrap();
+            let (recon, _) = cuszp::decompress::<f32>(&archive.to_bytes()).unwrap();
             let q_sz = ErrorStats::compute(&field.data, &recon);
 
             // zfp-like: fixed 8 bits/value (CR pinned at 4), variable error.

@@ -63,7 +63,7 @@ fn main() {
             t_comp = t_comp.min(t0.elapsed().as_secs_f64());
             bytes = archive.to_bytes();
             let t0 = Instant::now();
-            let (recon, _) = cuszp::decompress(&bytes).unwrap();
+            let (recon, _) = cuszp::decompress::<f32>(&bytes).unwrap();
             t_decomp = t_decomp.min(t0.elapsed().as_secs_f64());
             assert_eq!(recon.len(), field.data.len());
         }
@@ -114,7 +114,7 @@ fn main() {
             t_comp = t_comp.min(t0.elapsed().as_secs_f64());
             bytes = archive.to_bytes();
             let t0 = Instant::now();
-            let (recon, _) = cuszp::decompress(&bytes).unwrap();
+            let (recon, _) = cuszp::decompress::<f32>(&bytes).unwrap();
             t_decomp = t_decomp.min(t0.elapsed().as_secs_f64());
             assert_eq!(recon.len(), field.data.len());
         }
@@ -280,7 +280,7 @@ fn main() {
     // kill -9 durability contract (every put pays an fsync); `never`
     // shows the raw log-append cost; memory is the baseline.
     let shard: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 % 251) as u8).collect();
-    let shard_fnv = cuszp::store::fnv1a(&shard);
+    let shard_fnv = cuszp::metrics::fnv1a(&shard);
     let store_ops = 64usize;
     let bench_dir = std::env::temp_dir().join(format!("cuszp-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&bench_dir);

@@ -59,7 +59,7 @@ fn main() {
         // the cuSZ+ contribution, the coarse engine is the cuSZ baseline.
         for engine in ReconstructEngine::ALL {
             let t0 = Instant::now();
-            let (recon, _) = cuszp::decompress_with_engine(&bytes, engine).unwrap();
+            let (recon, _) = cuszp::decompress_with_engine::<f32>(&bytes, engine).unwrap();
             let t_dec = t0.elapsed();
             let eb = compressor.config().error_bound.absolute(&snapshot);
             verify_error_bound(&snapshot, &recon, eb).expect("bound");

@@ -54,7 +54,7 @@ fn main() {
     // 4. Serialize, decompress, verify.
     let bytes = archive.to_bytes();
     println!("archive: {} bytes on the wire", bytes.len());
-    let (recon, dims) = cuszp::decompress(&bytes).expect("decompression failed");
+    let (recon, dims) = cuszp::decompress::<f32>(&bytes).expect("decompression failed");
     assert_eq!(dims, field.dims);
 
     let eb = config.error_bound.absolute(&field.data);

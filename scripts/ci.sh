@@ -19,6 +19,10 @@ cargo test --workspace
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
 
+echo "==> benchmark package (builds and its tests compile against the public API)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --no-run --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> corruption campaign (seeded fault injection)"
 scripts/corruption_campaign.sh
 

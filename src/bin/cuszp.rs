@@ -20,18 +20,19 @@ use cuszp::datagen::{dataset_fields, generate, DatasetKind, Scale};
 use cuszp::faultsim::{ChaosPolicy, ChaosProxy};
 use cuszp::metrics::{verify_error_bound, verify_error_bound_f64};
 use cuszp::parallel::WorkerPool;
+use cuszp::predictor::Scalar;
 use cuszp::server::{
     ClusterClient, ClusterConfig, CompressRequest, ConnectOptions, DecompressMode, RetryPolicy,
     RetryingClient, Ring, Server, ServerConfig, StoreBackendConfig,
 };
 use cuszp::store::{FsyncPolicy, StoreConfig};
 use cuszp::{
-    json_escape, Archive, ChunkStatus, ChunkedArchive, Compressor, Config, CuszpError, Dims, Dtype,
-    ErrorBound, FillPolicy, LosslessMode, ParityConfig, PortableScanReport, Predictor,
-    PredictorMode, RangeSpec, RecoveredField, ScanReport, WorkflowChoice, WorkflowMode,
+    json_escape, Archive, ChunkStatus, ChunkedArchive, Compressor, Config, Dims, Dtype, ErrorBound,
+    FillPolicy, LosslessMode, ParityConfig, PortableScanReport, Predictor, PredictorMode,
+    RangeSpec, ScanReport, WorkflowChoice, WorkflowMode,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -95,7 +96,10 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "compress" => cmd_compress(&opts).map(|()| ExitCode::SUCCESS),
+        "compress" if opts.has_flag("double") => {
+            cmd_compress::<f64>(&opts).map(|()| ExitCode::SUCCESS)
+        }
+        "compress" => cmd_compress::<f32>(&opts).map(|()| ExitCode::SUCCESS),
         "decompress" => cmd_decompress(&opts).map(|()| ExitCode::SUCCESS),
         "extract" => cmd_extract(&opts).map(|()| ExitCode::SUCCESS),
         "info" => cmd_info(&opts).map(|()| ExitCode::SUCCESS),
@@ -105,7 +109,10 @@ fn main() -> ExitCode {
         // store-fsck shares the taxonomy: 0 clean, 1 repairable via
         // cluster-scrub, 2 directory unreadable.
         "store-fsck" => cmd_store_fsck(&opts),
-        "analyze" => cmd_analyze(&opts).map(|()| ExitCode::SUCCESS),
+        "analyze" if opts.has_flag("double") => {
+            cmd_analyze::<f64>(&opts).map(|()| ExitCode::SUCCESS)
+        }
+        "analyze" => cmd_analyze::<f32>(&opts).map(|()| ExitCode::SUCCESS),
         "gen" => cmd_gen(&opts).map(|()| ExitCode::SUCCESS),
         "serve" => cmd_serve(&opts).map(|()| ExitCode::SUCCESS),
         "chaos-proxy" => cmd_chaos_proxy(&opts).map(|()| ExitCode::SUCCESS),
@@ -149,7 +156,7 @@ USAGE:
   cuszp store-fsck <data-dir> [--json]
   cuszp cluster put       <key> -i <archive> --seeds <addr,addr,...>
   cuszp cluster get       <key> -o <archive> --seeds <addr,addr,...>
-  cuszp cluster get-range <key> -o <raw> --range <spec> [--double]
+  cuszp cluster get-range <key> -o <raw> --range <spec>
                           --seeds <addr,addr,...>
   cuszp cluster ring|scrub --seeds <addr,addr,...>
   cuszp cluster-scrub      --seeds <addr,addr,...>   (alias of cluster scrub)
@@ -352,22 +359,23 @@ fn parse_config(opts: &Opts) -> Result<Config, String> {
     })
 }
 
-fn read_raw_f32(path: &str) -> Result<Vec<f32>, String> {
-    cuszp::datagen::read_f32_raw(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+/// Reads a raw little-endian field of `T`.
+fn read_raw<T: Scalar>(path: &str) -> Result<Vec<T>, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    if bytes.len() % T::BYTES != 0 {
+        return Err(format!(
+            "{path}: file size {} is not a multiple of {}",
+            bytes.len(),
+            T::BYTES
+        ));
+    }
+    Ok(bytes.chunks_exact(T::BYTES).map(T::read_le).collect())
 }
 
-fn read_raw_f64(path: &str) -> Result<Vec<f64>, String> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| format!("{path}: {e}"))?;
-    if bytes.len() % 8 != 0 {
-        return Err(format!("{path}: size not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+/// The stored element type of archive bytes. An unusable header reads as
+/// `f32`, whose decode then reports the parser's typed error.
+fn stored_dtype(bytes: &[u8]) -> Dtype {
+    Dtype::of_archive(bytes).unwrap_or(Dtype::F32)
 }
 
 fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
@@ -386,7 +394,7 @@ fn parse_threads(opts: &Opts) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-fn cmd_compress(opts: &Opts) -> Result<(), String> {
+fn cmd_compress<T: Scalar>(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let output = opts.require("o")?;
     let dims = parse_dims(opts.require("d")?)?;
@@ -400,9 +408,10 @@ fn cmd_compress(opts: &Opts) -> Result<(), String> {
     let compressor = Compressor::new(config);
 
     let t0 = std::time::Instant::now();
+    let data = read_raw::<T>(input)?;
     // Parity stripes live in the chunked (v2) container, so --parity
     // selects it even without --threads.
-    let (bytes, original_bytes) = if threads.is_some() || parity.is_some() {
+    let bytes = if threads.is_some() || parity.is_some() {
         // Chunk-parallel engine: multi-chunk (v2) archive, byte-identical
         // for any worker count.
         let pool = match threads {
@@ -410,63 +419,36 @@ fn cmd_compress(opts: &Opts) -> Result<(), String> {
             None => WorkerPool::with_default_workers(),
         };
         let target = cuszp::parallel::DEFAULT_CHUNK_ELEMS;
-        let want_stats = opts.has_flag("stats");
-        let report = |arc: &ChunkedArchive| {
-            eprintln!(
-                "chunked: {} chunks, {} workers{}",
-                arc.n_chunks(),
-                pool.workers(),
-                match &arc.parity {
-                    Some(p) => format!(
-                        ", parity {}/{} ({} stripes)",
-                        p.parity_shards, p.data_shards, p.n_stripes
-                    ),
-                    None => String::new(),
-                }
-            );
-        };
-        if opts.has_flag("double") {
-            let data = read_raw_f64(input)?;
-            let (mut arc, stats) = compressor
-                .compress_chunked_f64_with_stats(&data, dims, target, &pool)
-                .map_err(|e| e.to_string())?;
-            if let Some(cfg) = parity {
-                arc.add_parity(cfg, &pool);
-            }
-            report(&arc);
-            if want_stats {
-                eprintln!("{stats}");
-            }
-            (arc.to_bytes(), data.len() * 8)
-        } else {
-            let data = read_raw_f32(input)?;
-            let (mut arc, stats) = compressor
-                .compress_chunked_with_stats(&data, dims, target, &pool)
-                .map_err(|e| e.to_string())?;
-            if let Some(cfg) = parity {
-                arc.add_parity(cfg, &pool);
-            }
-            report(&arc);
-            if want_stats {
-                eprintln!("{stats}");
-            }
-            (arc.to_bytes(), data.len() * 4)
-        }
-    } else if opts.has_flag("double") {
-        let data = read_raw_f64(input)?;
-        let (archive, stats) = compressor
-            .compress_f64_with_stats(&data, dims)
+        let (mut arc, stats) = compressor
+            .compress_chunked_with_stats(&data, dims, target, &pool)
             .map_err(|e| e.to_string())?;
-        eprintln!("{stats}");
-        (archive.to_bytes(), stats.original_bytes)
+        if let Some(cfg) = parity {
+            arc.add_parity(cfg, &pool);
+        }
+        eprintln!(
+            "chunked: {} chunks, {} workers{}",
+            arc.n_chunks(),
+            pool.workers(),
+            match &arc.parity {
+                Some(p) => format!(
+                    ", parity {}/{} ({} stripes)",
+                    p.parity_shards, p.data_shards, p.n_stripes
+                ),
+                None => String::new(),
+            }
+        );
+        if opts.has_flag("stats") {
+            eprintln!("{stats}");
+        }
+        arc.to_bytes()
     } else {
-        let data = read_raw_f32(input)?;
         let (archive, stats) = compressor
             .compress_with_stats(&data, dims)
             .map_err(|e| e.to_string())?;
         eprintln!("{stats}");
-        (archive.to_bytes(), stats.original_bytes)
+        archive.to_bytes()
     };
+    let original_bytes = data.len() * T::BYTES;
     write_bytes(output, &bytes)?;
     eprintln!(
         "wrote {} bytes to {output} in {:.2}s ({:.1} MB/s, ratio {:.2}x)",
@@ -489,39 +471,12 @@ fn cmd_decompress(opts: &Opts) -> Result<(), String> {
     if opts.has_flag("recover") {
         return cmd_decompress_recover(opts, input, output, &bytes);
     }
-    let chunked = cuszp::is_chunked_archive(&bytes)
-        .then(|| ChunkedArchive::from_bytes(&bytes))
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    let (dtype, eb) = match &chunked {
-        Some(arc) => (arc.dtype, arc.eb),
-        None => {
-            let archive = Archive::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            (archive.dtype, archive.eb)
-        }
-    };
     let t0 = std::time::Instant::now();
-    let out_bytes: Vec<u8> = match dtype {
-        Dtype::F32 => {
-            let (data, _) = cuszp::decompress(&bytes).map_err(|e| e.to_string())?;
-            if let Some(orig_path) = opts.get("verify") {
-                let orig = read_raw_f32(orig_path)?;
-                verify_error_bound(&orig, &data, eb)
-                    .map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
-                eprintln!("verified against {orig_path}: max|err| <= {eb}");
-            }
-            data.iter().flat_map(|x| x.to_le_bytes()).collect()
-        }
-        Dtype::F64 => {
-            let (data, _) = cuszp::decompress_f64(&bytes).map_err(|e| e.to_string())?;
-            if let Some(orig_path) = opts.get("verify") {
-                let orig = read_raw_f64(orig_path)?;
-                verify_error_bound_f64(&orig, &data, eb)
-                    .map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
-                eprintln!("verified against {orig_path}: max|err| <= {eb}");
-            }
-            data.iter().flat_map(|x| x.to_le_bytes()).collect()
-        }
+    let out_bytes = match stored_dtype(&bytes) {
+        Dtype::F32 => decompress_raw::<f32>(opts, &bytes, |o, r, eb| {
+            verify_error_bound(o, r, eb).map(drop)
+        })?,
+        Dtype::F64 => decompress_raw::<f64>(opts, &bytes, verify_error_bound_f64)?,
     };
     write_bytes(output, &out_bytes)?;
     eprintln!(
@@ -532,42 +487,73 @@ fn cmd_decompress(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses and decodes an archive as `T` (one parse: its bound comes from
+/// the parsed header), checks it against `--verify` with `verify`, and
+/// returns the raw little-endian field.
+fn decompress_raw<T: Scalar>(
+    opts: &Opts,
+    bytes: &[u8],
+    verify: impl Fn(&[T], &[T], f64) -> Result<(), (usize, f64)>,
+) -> Result<Vec<u8>, String> {
+    let engine = cuszp::ReconstructEngine::FinePartialSum;
+    let (decoded, eb) = if cuszp::is_chunked_archive(bytes) {
+        let arc = ChunkedArchive::from_bytes(bytes).map_err(|e| e.to_string())?;
+        (
+            arc.decode(engine, &WorkerPool::with_default_workers()),
+            arc.eb,
+        )
+    } else {
+        let archive = Archive::from_bytes(bytes).map_err(|e| e.to_string())?;
+        (cuszp::decompress_archive(&archive, engine), archive.eb)
+    };
+    let (data, _): (Vec<T>, _) = decoded.map_err(|e| e.to_string())?;
+    if let Some(orig_path) = opts.get("verify") {
+        let orig = read_raw::<T>(orig_path)?;
+        verify(&orig, &data, eb).map_err(|(i, e)| format!("bound violated at {i}: {e} > {eb}"))?;
+        eprintln!("verified against {orig_path}: max|err| <= {eb}");
+    }
+    Ok(T::le_bytes(&data))
+}
+
 /// `extract --range`: decode only the chunks a sub-volume touches and
-/// write that sub-volume as a raw row-major raster. The element type is
-/// sniffed by attempting `f32` first, same as the recover path.
+/// write that sub-volume as a raw row-major raster of the archive's
+/// stored element type.
 fn cmd_extract(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let output = opts.require("o")?;
     let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    match stored_dtype(&bytes) {
+        Dtype::F32 => extract_range::<f32>(opts, input, output, &spec, &bytes),
+        Dtype::F64 => extract_range::<f64>(opts, input, output, &spec, &bytes),
+    }
+}
+
+fn extract_range<T: Scalar>(
+    opts: &Opts,
+    input: &str,
+    output: &str,
+    spec: &RangeSpec,
+    bytes: &[u8],
+) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     if opts.has_flag("recover") {
         let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
             .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
-        let (out_bytes, dims, reports) =
-            match cuszp::decompress_range_resilient(&bytes, &spec, fill) {
-                Ok(rf) => {
-                    let out: Vec<u8> = rf.data.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    (out, rf.dims, rf.reports)
-                }
-                Err(CuszpError::DtypeMismatch { .. }) => {
-                    let rf = cuszp::decompress_range_resilient_f64(&bytes, &spec, fill)
-                        .map_err(|e| e.to_string())?;
-                    let out: Vec<u8> = rf.data.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    (out, rf.dims, rf.reports)
-                }
-                Err(e) => return Err(format!("{input}: {e}")),
-            };
+        let rf = cuszp::decompress_range_resilient::<T>(bytes, spec, fill)
+            .map_err(|e| format!("{input}: {e}"))?;
+        let reports = &rf.reports;
         for r in reports.iter().filter(|r| !r.status.is_recovered()) {
             eprintln!(
                 "  chunk {}: {} (elements {}..{})",
                 r.index, r.status, r.elem_range.start, r.elem_range.end
             );
         }
+        let out_bytes = T::le_bytes(&rf.data);
         write_bytes(output, &out_bytes)?;
         eprintln!(
             "extracted {spec} -> {output} ({:?}, {} bytes, {}/{} in-range chunks ok) in {:.2}s",
-            dims,
+            rf.dims,
             out_bytes.len(),
             reports.iter().filter(|r| r.status.is_recovered()).count(),
             reports.len(),
@@ -575,15 +561,9 @@ fn cmd_extract(opts: &Opts) -> Result<(), String> {
         );
         return Ok(());
     }
-    let (out_bytes, dims): (Vec<u8>, Dims) = match cuszp::decompress_range(&bytes, &spec) {
-        Ok((data, dims)) => (data.iter().flat_map(|x| x.to_le_bytes()).collect(), dims),
-        Err(CuszpError::DtypeMismatch { .. }) => {
-            let (data, dims) =
-                cuszp::decompress_range_f64(&bytes, &spec).map_err(|e| e.to_string())?;
-            (data.iter().flat_map(|x| x.to_le_bytes()).collect(), dims)
-        }
-        Err(e) => return Err(format!("{input}: {e}")),
-    };
+    let (data, dims) =
+        cuszp::decompress_range::<T>(bytes, spec).map_err(|e| format!("{input}: {e}"))?;
+    let out_bytes = T::le_bytes(&data);
     write_bytes(output, &out_bytes)?;
     eprintln!(
         "extracted {spec} -> {output} ({dims:?}, {} bytes) in {:.2}s",
@@ -595,8 +575,7 @@ fn cmd_extract(opts: &Opts) -> Result<(), String> {
 
 /// `decompress --recover`: fault-isolated decompression. The strict
 /// metadata parse is skipped on purpose — the archive may be damaged —
-/// and the element type is discovered by attempting `f32` first (the
-/// recovery core rejects a wrong dtype before doing any work).
+/// and the element type is read from the header alone.
 fn cmd_decompress_recover(
     opts: &Opts,
     input: &str,
@@ -611,20 +590,13 @@ fn cmd_decompress_recover(
     let fill = FillPolicy::parse(opts.get("fill").unwrap_or("nan"))
         .ok_or_else(|| format!("bad --fill '{}' (nan|zero)", opts.get("fill").unwrap_or("")))?;
     let t0 = std::time::Instant::now();
-    let (out_bytes, reports) = match cuszp::decompress_resilient(bytes, fill) {
-        Ok(rf) => {
-            let RecoveredField { data, reports, .. } = rf;
-            let out: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
-            (out, reports)
-        }
-        Err(CuszpError::DtypeMismatch { .. }) => {
-            let rf = cuszp::decompress_resilient_f64(bytes, fill).map_err(|e| e.to_string())?;
-            let RecoveredField { data, reports, .. } = rf;
-            let out: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
-            (out, reports)
-        }
-        Err(e) => return Err(format!("{input}: unrecoverable: {e}")),
+    let recovered = match stored_dtype(bytes) {
+        Dtype::F32 => cuszp::decompress_resilient::<f32>(bytes, fill)
+            .map(|rf| (f32::le_bytes(&rf.data), rf.reports)),
+        Dtype::F64 => cuszp::decompress_resilient::<f64>(bytes, fill)
+            .map(|rf| (f64::le_bytes(&rf.data), rf.reports)),
     };
+    let (out_bytes, reports) = recovered.map_err(|e| format!("{input}: unrecoverable: {e}"))?;
     let damaged: Vec<_> = reports
         .iter()
         .filter(|r| !r.status.is_recovered())
@@ -908,11 +880,11 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(opts: &Opts) -> Result<(), String> {
+fn cmd_analyze<T: Scalar>(opts: &Opts) -> Result<(), String> {
     let input = opts.require("i")?;
     let dims = parse_dims(opts.require("d")?)?;
     let config = parse_config(opts)?;
-    let data = read_raw_f32(input)?;
+    let data = read_raw::<T>(input)?;
     if data.len() != dims.len() {
         return Err(format!(
             "{input} has {} elements, dims say {}",
@@ -1479,24 +1451,15 @@ fn cmd_cluster(sub: &str, opts: &Opts) -> Result<ExitCode, String> {
             let output = opts.require("o")?;
             let spec = RangeSpec::parse(opts.require("range")?).map_err(|e| e.to_string())?;
             let mut client = cluster_client(opts)?;
-            let (out_bytes, dims, degraded): (Vec<u8>, Dims, bool) = if opts.has_flag("double") {
-                let (data, dims, degraded) = client
-                    .get_range_f64(key, &spec)
-                    .map_err(|e| e.to_string())?;
-                (
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    dims,
-                    degraded,
-                )
-            } else {
-                let (data, dims, degraded) =
-                    client.get_range(key, &spec).map_err(|e| e.to_string())?;
-                (
-                    data.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    dims,
-                    degraded,
-                )
-            };
+            let got = client.get(key).map_err(|e| e.to_string())?;
+            let degraded = got.degraded;
+            let (out_bytes, dims) = match stored_dtype(&got.bytes) {
+                Dtype::F32 => cuszp::decompress_range::<f32>(&got.bytes, &spec)
+                    .map(|(data, dims)| (f32::le_bytes(&data), dims)),
+                Dtype::F64 => cuszp::decompress_range::<f64>(&got.bytes, &spec)
+                    .map(|(data, dims)| (f64::le_bytes(&data), dims)),
+            }
+            .map_err(|e| e.to_string())?;
             write_bytes(output, &out_bytes)?;
             eprintln!(
                 "extracted {spec} of '{key}' -> {output} ({dims:?}, {} bytes{})",

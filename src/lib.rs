@@ -38,7 +38,7 @@
 //!     .unwrap();
 //! println!("{stats}");
 //!
-//! let (recon, _) = cuszp::decompress(&archive.to_bytes()).unwrap();
+//! let (recon, _) = cuszp::decompress::<f32>(&archive.to_bytes()).unwrap();
 //! let range = 2.0_f64; // sin spans [-1, 1]
 //! for (o, r) in field.iter().zip(&recon) {
 //!     assert!(((o - r).abs() as f64) <= 1e-3 * range * 1.001);
@@ -62,14 +62,12 @@ pub use cuszp_zfp as zfp;
 
 // The everyday API, flattened.
 pub use cuszp_core::{
-    decompress, decompress_archive, decompress_f64, decompress_f64_with_engine, decompress_range,
-    decompress_range_f64, decompress_range_resilient, decompress_range_resilient_f64,
-    decompress_resilient, decompress_resilient_f64, decompress_resilient_f64_with,
-    decompress_resilient_with, decompress_with_engine, is_chunked_archive, json_escape, repair,
-    repair_with, scan, scan_with, Archive, ArchiveSection, ChunkReport, ChunkStatus,
-    ChunkedArchive, CodecPlan, CompressionStats, Compressor, Config, CuszpError, Dims, Dtype,
-    ErrorBound, FillPolicy, LosslessMode, LosslessStage, ParityConfig, ParityReport, ParitySection,
-    ParseFault, PortableChunkReport, PortableChunkStatus, PortableParityReport, PortableScanReport,
-    PortableStripeStatus, Predictor, PredictorMode, RangeSpec, ReconstructEngine, RecoveredField,
-    RepairOutcome, ScanReport, Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
+    decompress, decompress_archive, decompress_range, decompress_range_resilient,
+    decompress_resilient, decompress_with_engine, is_chunked_archive, json_escape, repair, scan,
+    Archive, ArchiveSection, ChunkReport, ChunkStatus, ChunkedArchive, CodecPlan, CompressionStats,
+    Compressor, Config, CuszpError, Dims, Dtype, ErrorBound, FillPolicy, LosslessMode,
+    LosslessStage, ParityConfig, ParityReport, ParitySection, ParseFault, PortableChunkReport,
+    PortableChunkStatus, PortableParityReport, PortableScanReport, PortableStripeStatus, Predictor,
+    PredictorMode, RangeSpec, ReconstructEngine, RecoveredField, RepairOutcome, ScanReport,
+    Snapshot, SnapshotEntry, StripeStatus, WorkflowChoice, WorkflowMode,
 };

@@ -31,11 +31,11 @@ fn f64_round_trip_all_ranks_and_engines() {
             error_bound: ErrorBound::Absolute(1e-6), // beyond f32 precision
             ..Config::default()
         };
-        let archive = Compressor::new(config).compress_f64(slice, dims).unwrap();
+        let archive = Compressor::new(config).compress(slice, dims).unwrap();
         assert_eq!(archive.dtype, Dtype::F64);
         let bytes = archive.to_bytes();
         for engine in ReconstructEngine::ALL {
-            let (recon, got_dims) = cuszp::decompress_f64_with_engine(&bytes, engine).unwrap();
+            let (recon, got_dims) = cuszp::decompress_with_engine::<f64>(&bytes, engine).unwrap();
             assert_eq!(got_dims, dims);
             for (o, r) in slice.iter().zip(&recon) {
                 assert!(
@@ -58,9 +58,9 @@ fn f64_bound_below_f32_precision_is_honored() {
         ..Config::default()
     };
     let archive = Compressor::new(config)
-        .compress_f64(&data, Dims::D1(4096))
+        .compress(&data, Dims::D1(4096))
         .unwrap();
-    let (recon, _) = cuszp::decompress_f64(&archive.to_bytes()).unwrap();
+    let (recon, _) = cuszp::decompress::<f64>(&archive.to_bytes()).unwrap();
     for (o, r) in data.iter().zip(&recon) {
         assert!((o - r).abs() <= 1e-9 * (1.0 + 1e-9), "{o} vs {r}");
     }
@@ -77,7 +77,7 @@ fn f64_smooth_data_exceeds_the_32x_float_cap() {
         ..Config::default()
     };
     let (_, stats) = Compressor::new(config)
-        .compress_f64_with_stats(&data, Dims::D1(1 << 20))
+        .compress_with_stats(&data, Dims::D1(1 << 20))
         .unwrap();
     assert!(
         stats.compression_ratio() > 32.0,
@@ -91,11 +91,11 @@ fn f64_smooth_data_exceeds_the_32x_float_cap() {
 fn dtype_mismatch_is_a_clean_error() {
     let data = field_f64(1000);
     let archive = Compressor::default()
-        .compress_f64(&data, Dims::D1(1000))
+        .compress(&data, Dims::D1(1000))
         .unwrap();
     let bytes = archive.to_bytes();
     // f32 entry point on an f64 archive:
-    let err = cuszp::decompress(&bytes).unwrap_err();
+    let err = cuszp::decompress::<f32>(&bytes).unwrap_err();
     assert!(
         matches!(err, cuszp::CuszpError::DtypeMismatch { .. }),
         "{err}"
@@ -105,7 +105,7 @@ fn dtype_mismatch_is_a_clean_error() {
         .compress(&[1.0f32; 100], Dims::D1(100))
         .unwrap()
         .to_bytes();
-    let err = cuszp::decompress_f64(&f32_archive).unwrap_err();
+    let err = cuszp::decompress::<f64>(&f32_archive).unwrap_err();
     assert!(
         matches!(err, cuszp::CuszpError::DtypeMismatch { .. }),
         "{err}"
@@ -116,7 +116,7 @@ fn dtype_mismatch_is_a_clean_error() {
 fn f64_stats_account_eight_byte_elements() {
     let data = field_f64(10_000);
     let (_, stats) = Compressor::default()
-        .compress_f64_with_stats(&data, Dims::D1(10_000))
+        .compress_with_stats(&data, Dims::D1(10_000))
         .unwrap();
     assert_eq!(stats.original_bytes, 80_000);
 }

@@ -33,7 +33,7 @@ fn truncation_at_every_boundary_errors_cleanly() {
             bytes.len() / 2,
             bytes.len() - 1,
         ] {
-            let r = cuszp::decompress(&bytes[..cut.min(bytes.len())]);
+            let r = cuszp::decompress::<f32>(&bytes[..cut.min(bytes.len())]);
             assert!(r.is_err(), "truncated at {cut} must fail ({})", wf.name());
         }
     }
@@ -57,7 +57,7 @@ fn single_bit_flips_are_detected() {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x10;
             total += 1;
-            match cuszp::decompress(&corrupt) {
+            match cuszp::decompress::<f32>(&corrupt) {
                 Err(_) => caught += 1,
                 Ok((data, dims)) => {
                     // A flip in the header's eb field (bytes 32..40)
@@ -87,24 +87,24 @@ fn version_and_magic_are_enforced() {
     // Magic at offset 0..4.
     bytes[0] ^= 0xFF;
     assert!(matches!(
-        cuszp::decompress(&bytes),
+        cuszp::decompress::<f32>(&bytes),
         Err(CuszpError::MalformedArchive(_))
     ));
     let mut bytes = sample_archive(WorkflowChoice::Huffman);
     // Version at offset 4..6.
     bytes[4] = 0xEE;
     assert!(matches!(
-        cuszp::decompress(&bytes),
+        cuszp::decompress::<f32>(&bytes),
         Err(CuszpError::UnsupportedVersion(_))
     ));
 }
 
 #[test]
 fn empty_and_garbage_inputs() {
-    assert!(cuszp::decompress(&[]).is_err());
-    assert!(cuszp::decompress(b"not an archive at all").is_err());
+    assert!(cuszp::decompress::<f32>(&[]).is_err());
+    assert!(cuszp::decompress::<f32>(b"not an archive at all").is_err());
     let garbage: Vec<u8> = (0..10_000u32).map(|i| (i * 31) as u8).collect();
-    assert!(cuszp::decompress(&garbage).is_err());
+    assert!(cuszp::decompress::<f32>(&garbage).is_err());
 }
 
 #[test]
@@ -112,7 +112,10 @@ fn rank_tampering_is_rejected() {
     let mut bytes = sample_archive(WorkflowChoice::Huffman);
     // Rank byte at offset 7 (after magic u32 + version u16 + workflow u8).
     bytes[7] = 9;
-    assert!(cuszp::decompress(&bytes).is_err(), "bad rank accepted");
+    assert!(
+        cuszp::decompress::<f32>(&bytes).is_err(),
+        "bad rank accepted"
+    );
 }
 
 #[test]

@@ -43,7 +43,7 @@ fn truncation_at_every_section_boundary_errors_cleanly() {
             if cut >= bytes.len() {
                 continue; // not a truncation
             }
-            let r = cuszp::decompress(&bytes[..cut]);
+            let r = cuszp::decompress::<f32>(&bytes[..cut]);
             assert!(r.is_err(), "truncated at {cut} (boundary {b}) must fail");
         }
     }
@@ -54,7 +54,7 @@ fn truncation_errors_carry_structured_context() {
     let bytes = sample_container();
     // Cut inside the length table: the fault must name the section.
     let cut = faultsim::CSZ2_HEADER_BYTES + 3;
-    match cuszp::decompress(&bytes[..cut]) {
+    match cuszp::decompress::<f32>(&bytes[..cut]) {
         Err(CuszpError::MalformedArchive(fault)) => {
             assert_eq!(fault.section, cuszp::ArchiveSection::LengthTable);
             assert!(fault.offset <= cut, "offset {} beyond input", fault.offset);
@@ -71,13 +71,13 @@ fn length_table_bit_flips_are_detected() {
         for bit in [0u8, 3, 7] {
             let corrupt = faultsim::flip_bit(&bytes, layout.table.start + entry * 8, bit);
             assert!(
-                cuszp::decompress(&corrupt).is_err(),
+                cuszp::decompress::<f32>(&corrupt).is_err(),
                 "flipped bit {bit} of length-table entry {entry} accepted"
             );
             // The resilient path still recovers the chunks the flip did
             // not unframe (at minimum it must not panic and must report
             // the damage if it returns).
-            if let Ok(rf) = decompress_resilient(&corrupt, FillPolicy::Nan) {
+            if let Ok(rf) = decompress_resilient::<f32>(&corrupt, FillPolicy::Nan) {
                 assert!(
                     rf.n_damaged() > 0,
                     "entry {entry} bit {bit}: damage unreported"
@@ -96,7 +96,7 @@ fn inflated_chunk_count_fails_without_overallocation() {
         // The declared table alone would be gigabytes; both paths must
         // bounds-check before allocating.
         assert!(
-            cuszp::decompress(&corrupt).is_err(),
+            cuszp::decompress::<f32>(&corrupt).is_err(),
             "count {value} accepted"
         );
         if let Ok(report) = scan(&corrupt) {
@@ -116,12 +116,12 @@ fn inflated_length_entry_fails_without_overallocation() {
     for value in [u64::MAX, u64::MAX / 2, (bytes.len() as u64) * 1000] {
         let corrupt = faultsim::inflate_u64(&bytes, layout.table.start, value);
         assert!(
-            cuszp::decompress(&corrupt).is_err(),
+            cuszp::decompress::<f32>(&corrupt).is_err(),
             "length {value:#x} accepted"
         );
         // Chunks after the inflated entry are unframed (no resync), so
         // the resilient path reports them rather than guessing.
-        if let Ok(rf) = decompress_resilient(&corrupt, FillPolicy::Nan) {
+        if let Ok(rf) = decompress_resilient::<f32>(&corrupt, FillPolicy::Nan) {
             assert!(rf.n_damaged() > 0, "length {value:#x}: damage unreported");
         }
     }
@@ -137,7 +137,7 @@ fn chunk_surgery_is_rejected_by_the_strict_path() {
     // the geometry cross-check must catch the transposition.
     let swapped = faultsim::reorder_chunks(&bytes, 0, last).unwrap();
     assert!(
-        cuszp::decompress(&swapped).is_err(),
+        cuszp::decompress::<f32>(&swapped).is_err(),
         "chunk reorder accepted"
     );
 
@@ -145,17 +145,17 @@ fn chunk_surgery_is_rejected_by_the_strict_path() {
     // plan computed from the header shape.
     let duped = faultsim::duplicate_chunk(&bytes, 0).unwrap();
     assert!(
-        cuszp::decompress(&duped).is_err(),
+        cuszp::decompress::<f32>(&duped).is_err(),
         "duplicated chunk accepted"
     );
     let deleted = faultsim::delete_chunk(&bytes, last).unwrap();
     assert!(
-        cuszp::decompress(&deleted).is_err(),
+        cuszp::decompress::<f32>(&deleted).is_err(),
         "deleted chunk accepted"
     );
 
     // The resilient path names the out-of-plan chunk on duplication.
-    let rf = decompress_resilient(&duped, FillPolicy::Nan);
+    let rf = decompress_resilient::<f32>(&duped, FillPolicy::Nan);
     if let Ok(rf) = rf {
         assert!(
             rf.reports
@@ -174,12 +174,12 @@ fn chunk_body_bit_flips_are_detected_per_chunk() {
         let mid = chunk.start + chunk.len() / 2;
         let corrupt = faultsim::flip_bit(&bytes, mid, 2);
         assert!(
-            cuszp::decompress(&corrupt).is_err(),
+            cuszp::decompress::<f32>(&corrupt).is_err(),
             "payload flip in chunk {i} accepted by strict path"
         );
         // The resilient path pinpoints exactly this chunk and recovers
         // the others.
-        let rf = decompress_resilient(&corrupt, FillPolicy::Nan).unwrap();
+        let rf = decompress_resilient::<f32>(&corrupt, FillPolicy::Nan).unwrap();
         assert_eq!(rf.n_damaged(), 1, "chunk {i}: wrong damage count");
         let damaged = rf.reports.iter().find(|r| !r.status.is_ok()).unwrap();
         assert_eq!(damaged.index, i, "damage attributed to the wrong chunk");
@@ -195,7 +195,7 @@ fn chunk_body_bit_flips_are_detected_per_chunk() {
 fn chunked_magic_with_garbage_tail_errors() {
     let mut garbage = faultsim::CSZ2_MAGIC.to_le_bytes().to_vec();
     garbage.extend((0..10_000u32).map(|i| (i * 37) as u8));
-    assert!(cuszp::decompress(&garbage).is_err());
+    assert!(cuszp::decompress::<f32>(&garbage).is_err());
     // scan must also survive it (header parses or it reports an error,
     // but never panics).
     let _ = scan(&garbage);

@@ -79,7 +79,7 @@ fn one_archive_mixes_plans_and_stays_deterministic() {
 
     // Round trip within bound.
     let bytes = arc.to_bytes();
-    let (recon, rdims) = cuszp::decompress(&bytes).unwrap();
+    let (recon, rdims) = cuszp::decompress::<f32>(&bytes).unwrap();
     assert_eq!(rdims, dims);
     verify_error_bound(&data, &recon, eb)
         .unwrap_or_else(|(i, e)| panic!("bound violated at {i}: {e}"));

@@ -31,7 +31,7 @@ fn every_dataset_round_trips_under_every_workflow() {
                     .compress(&field.data, field.dims)
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", kind.name(), spec.name));
                 let bytes = archive.to_bytes();
-                let (recon, dims) = cuszp::decompress(&bytes)
+                let (recon, dims) = cuszp::decompress::<f32>(&bytes)
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", kind.name(), spec.name));
                 assert_eq!(dims, field.dims);
                 verify_error_bound(&field.data, &recon, eb).unwrap_or_else(|(i, e)| {
@@ -59,12 +59,12 @@ fn all_engines_reconstruct_identically_from_the_same_archive() {
         .unwrap()
         .to_bytes();
     let (reference, _) =
-        cuszp::decompress_with_engine(&bytes, ReconstructEngine::CoarseSerial).unwrap();
+        cuszp::decompress_with_engine::<f32>(&bytes, ReconstructEngine::CoarseSerial).unwrap();
     for engine in [
         ReconstructEngine::FinePartialSumNaive,
         ReconstructEngine::FinePartialSum,
     ] {
-        let (out, _) = cuszp::decompress_with_engine(&bytes, engine).unwrap();
+        let (out, _) = cuszp::decompress_with_engine::<f32>(&bytes, engine).unwrap();
         assert_eq!(out, reference, "engine {} diverged bitwise", engine.name());
     }
 }
@@ -90,7 +90,7 @@ fn workflow_choice_does_not_change_reconstruction() {
             .compress(&field.data, field.dims)
             .unwrap()
             .to_bytes();
-        let (recon, _) = cuszp::decompress(&bytes).unwrap();
+        let (recon, _) = cuszp::decompress::<f32>(&bytes).unwrap();
         outputs.push(recon);
     }
     assert_eq!(outputs[0], outputs[1], "RLE path altered the data");
@@ -112,7 +112,7 @@ fn tighter_bounds_give_larger_archives_and_better_quality() {
             .compress(&field.data, field.dims)
             .unwrap()
             .to_bytes();
-        let (recon, _) = cuszp::decompress(&bytes).unwrap();
+        let (recon, _) = cuszp::decompress::<f32>(&bytes).unwrap();
         let stats = cuszp::metrics::ErrorStats::compute(&field.data, &recon);
         assert!(bytes.len() > last_size, "eb {eb}: archive must grow");
         assert!(stats.max_abs_err < last_err, "eb {eb}: error must shrink");
@@ -137,11 +137,11 @@ fn double_compression_is_idempotent_on_quality() {
             .compress(&field.data, field.dims)
             .unwrap()
             .to_bytes();
-        cuszp::decompress(&b).unwrap().0
+        cuszp::decompress::<f32>(&b).unwrap().0
     };
     let twice = {
         let b = compressor.compress(&once, field.dims).unwrap().to_bytes();
-        cuszp::decompress(&b).unwrap().0
+        cuszp::decompress::<f32>(&b).unwrap().0
     };
     for (a, b) in once.iter().zip(&twice) {
         assert!(

@@ -21,7 +21,7 @@ fn interpolation_round_trips_through_archives() {
             .unwrap();
         assert_eq!(archive.predictor, Predictor::Interpolation);
         let bytes = archive.to_bytes();
-        let (recon, dims) = cuszp::decompress(&bytes).unwrap();
+        let (recon, dims) = cuszp::decompress::<f32>(&bytes).unwrap();
         assert_eq!(dims, field.dims);
         verify_error_bound(&field.data, &recon, eb)
             .unwrap_or_else(|(i, e)| panic!("{}: bound violated at {i}: {e}", spec.name));
@@ -42,7 +42,7 @@ fn predictor_survives_serialization() {
         let parsed = cuszp::Archive::from_bytes(&archive.to_bytes()).unwrap();
         assert_eq!(parsed.predictor, predictor);
         // Decompression must dispatch to the matching reconstruction.
-        let (recon, _) = cuszp::decompress(&archive.to_bytes()).unwrap();
+        let (recon, _) = cuszp::decompress::<f32>(&archive.to_bytes()).unwrap();
         assert_eq!(recon.len(), 2048);
     }
 }
@@ -80,9 +80,9 @@ fn f64_supports_both_predictors() {
             ..Config::default()
         };
         let archive = Compressor::new(config)
-            .compress_f64(&data, Dims::D1(4096))
+            .compress(&data, Dims::D1(4096))
             .unwrap();
-        let (recon, _) = cuszp::decompress_f64(&archive.to_bytes()).unwrap();
+        let (recon, _) = cuszp::decompress::<f64>(&archive.to_bytes()).unwrap();
         for (o, r) in data.iter().zip(&recon) {
             assert!(
                 (o - r).abs() <= 1e-8 * 1.001,

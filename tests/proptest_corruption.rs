@@ -34,10 +34,10 @@ fn chunked_archive() -> Vec<u8> {
 /// Every untrusted-input entry point on one buffer; asserts the shared
 /// sanity property on anything that parses.
 fn exercise_all_entry_points(bytes: &[u8]) -> Result<(), TestCaseError> {
-    if let Ok((data, dims)) = cuszp::decompress(bytes) {
+    if let Ok((data, dims)) = cuszp::decompress::<f32>(bytes) {
         prop_assert_eq!(data.len(), dims.len());
     }
-    if let Ok(rf) = decompress_resilient(bytes, FillPolicy::Nan) {
+    if let Ok(rf) = decompress_resilient::<f32>(bytes, FillPolicy::Nan) {
         prop_assert_eq!(rf.data.len(), rf.dims.len());
         // Report lists are paid for by the input, never by a header claim.
         prop_assert!(rf.reports.len() <= bytes.len() / 8 + 8);

@@ -43,7 +43,7 @@ proptest! {
         };
         let archive = Compressor::new(config).compress(&data, dims).unwrap();
         let bytes = archive.to_bytes();
-        let (recon, got_dims) = cuszp::decompress(&bytes).unwrap();
+        let (recon, got_dims) = cuszp::decompress::<f32>(&bytes).unwrap();
         prop_assert_eq!(got_dims, dims);
         for (o, r) in data.iter().zip(&recon) {
             let slack = eb * (1.0 + 1e-6) + (o.abs() as f64) * f32::EPSILON as f64;
@@ -66,7 +66,7 @@ proptest! {
         };
         let eb = config.error_bound.absolute(&data);
         let archive = Compressor::new(config).compress(&data, Dims::D1(n)).unwrap();
-        let (recon, _) = cuszp::decompress(&archive.to_bytes()).unwrap();
+        let (recon, _) = cuszp::decompress::<f32>(&archive.to_bytes()).unwrap();
         for (o, r) in data.iter().zip(&recon) {
             let slack = eb * (1.0 + 1e-6) + (o.abs() as f64) * f32::EPSILON as f64;
             prop_assert!(((o - r).abs() as f64) <= slack);
@@ -85,6 +85,6 @@ proptest! {
         bytes[pos] = mutation_val;
         // Must return (not panic); content equality checks are the
         // checksum's job, exercised elsewhere.
-        let _ = cuszp::decompress(&bytes);
+        let _ = cuszp::decompress::<f32>(&bytes);
     }
 }

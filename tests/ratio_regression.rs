@@ -40,7 +40,7 @@ fn compressed_len(field: &Field, config: Config) -> usize {
         .compress(&field.data, field.dims)
         .unwrap();
     let bytes = archive.to_bytes();
-    let (recon, _) = cuszp::decompress(&bytes).unwrap();
+    let (recon, _) = cuszp::decompress::<f32>(&bytes).unwrap();
     verify_error_bound(&field.data, &recon, eb)
         .unwrap_or_else(|(i, e)| panic!("{}: bound violated at {i}: {e}", field.name));
     bytes.len()
